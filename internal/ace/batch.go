@@ -2,23 +2,27 @@ package ace
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"softerror/internal/isa"
 	"softerror/internal/pipeline"
 )
 
 // This file is the analysis half of the batched evaluation path. A
-// BatchGroup owns the per-stream work every variant shares — chiefly the
-// deadness classification of the commit log, which is Seq-value-independent
-// and so identical across variants that committed the same number of body
-// instructions. A BatchCollector is one lane's pipeline.BatchSink: it keys
-// every deferred charge by body index instead of sequence number, which
-// both skips instruction reconstruction on the hot path and turns Finish's
-// per-event binary searches into direct indexing. All charges flow through
-// the same Report.addRead/addNeverRead/SBReport.add helpers as the solo
-// Collector, so the finished reports are byte-identical to K independent
-// runs — the batched-independent seraudit check pins exactly that.
+// BatchGroup owns the per-stream work every variant shares: the deadness
+// classification of the commit log, which is Seq-value-independent. It
+// analyses the body prefix [0, M) once per batch, where M is the highest
+// committed end any lane reached, and keeps the flat def-use arrays. Each
+// lane's committed set is that prefix minus a set R (its end-of-run holes
+// plus [n, M)), all at or after its first hole f; Finish derives the lane's
+// exact classification by patching the tail instead of re-analysing it
+// (see patch). A BatchCollector is one lane's pipeline.BatchSink: it keys
+// every deferred charge by body index, which both skips instruction
+// reconstruction on the hot path and lets Finish settle charges by direct
+// indexing. All charges flow through the same Report.addRead/addNeverRead/
+// SBReport.add/LSQReport.add helpers as the solo Collector, so the finished
+// reports are byte-identical to K independent runs — the
+// batched-independent seraudit check pins exactly that.
 
 // bodyPrefixer is the optional fast path for obtaining the shared commit
 // log as a slice; workload.Shared implements it.
@@ -27,16 +31,43 @@ type bodyPrefixer interface {
 }
 
 // BatchGroup shares one decoded stream's analyses across the lanes of a
-// batch. Not safe for concurrent use: one group serves one batch.
+// batch. Not safe for concurrent use: one group serves one batch at a
+// time.
 type BatchGroup struct {
-	src  pipeline.BatchSource
-	dead map[int]*Deadness
+	src pipeline.BatchSource
+	// end is the highest committed end (BatchCollector.n) of any lane armed
+	// on the group since the last Reset — the batch's M once every lane has
+	// run. Collectors raise it as they commit, so any driver that runs all
+	// of a batch's lanes before the first Finish gets one analysis per batch.
+	end int
+	// memo is the analysis of the last prefix length asked for.
+	memo *prefixAnalysis
+}
+
+// prefixAnalysis is the deadness analysis of the body prefix [0, m), with
+// the def-use arrays the per-lane tail patch reads.
+type prefixAnalysis struct {
+	m    int
+	log  []isa.Inst
+	du   *defUse
+	dead *Deadness // seqs dropped: every lane supplies its own
+	// below[i] is the first position after i whose clamped call depth is
+	// below i's, or -1.
+	below []int32
+	// shape[i] is body i's charge-bucket bits: 2 if it names a destination
+	// register, plus 1 if it is a control-flow instruction.
+	shape []uint8
 }
 
 // NewBatchGroup wraps the batch's shared stream.
 func NewBatchGroup(src pipeline.BatchSource) *BatchGroup {
-	return &BatchGroup{src: src, dead: make(map[int]*Deadness)}
+	return &BatchGroup{src: src}
 }
+
+// Release drops the group's memoised analysis — the largest state a group
+// holds — for an owner that keeps the group but does not expect its next
+// batch soon. The next batch analyses afresh.
+func (g *BatchGroup) Release() { g.memo = nil }
 
 // commitLog returns the first m body instructions as a slice — the shared
 // stand-in for any lane's commit log (deadness and the per-commit fields
@@ -53,44 +84,64 @@ func (g *BatchGroup) commitLog(m int) []isa.Inst {
 	return log
 }
 
-// deadness returns the memoised classification of the first m body
-// instructions. Lanes overshoot their commit target by at most
-// IssueWidth-1, so a batch sees only a handful of distinct m values and
-// the analysis runs once per value instead of once per lane.
-func (g *BatchGroup) deadness(m int) *Deadness {
-	if d, ok := g.dead[m]; ok {
-		return d
+// analysis returns the memoised analysis of the first m body instructions.
+func (g *BatchGroup) analysis(m int) *prefixAnalysis {
+	if a := g.memo; a != nil && a.m == m {
+		return a
 	}
-	d := AnalyzeDeadness(g.commitLog(m))
-	g.dead[m] = d
-	return d
+	log := g.commitLog(m)
+	du := buildDefUse(log)
+	a := &prefixAnalysis{
+		m:     m,
+		log:   log,
+		du:    du,
+		dead:  du.deadness(log),
+		below: firstBelow(log),
+		shape: make([]uint8, m),
+	}
+	a.dead.seqs = nil
+	for i := range log {
+		a.shape[i] = shapeOf(&log[i])
+	}
+	g.memo = a
+	return a
 }
 
-// viewFor returns one lane's Deadness: the shared classification with the
-// lane's relabeled sequence numbers. Categories, counts and FDD distance
-// populations alias the shared analysis (they are read-only downstream);
-// the seqs slice is the lane's own, so OfSeq resolves lane coordinates.
-func (g *BatchGroup) viewFor(m int, seqs []uint64) *Deadness {
-	d := *g.deadness(m)
-	d.seqs = seqs
-	return &d
+// shapeOf is an instruction's charge-bucket bits (see prefixAnalysis.shape).
+func shapeOf(in *isa.Inst) uint8 {
+	var s uint8
+	if in.Dest != isa.RegNone {
+		s = 2
+	}
+	if in.Class.IsControl() {
+		s++
+	}
+	return s
 }
 
-// batchPendingRead defers one front-end read charge to Finish, keyed by
-// body index (the solo Collector keys by Seq and binary-searches later).
-type batchPendingRead struct {
-	body int
-	wait uint64
+// firstBelow computes, for every log position, the first later position
+// whose clamped call depth is strictly lower (-1 when none): a
+// next-smaller-element scan whose stack holds at most one position per
+// depth.
+func firstBelow(log []isa.Inst) []int32 {
+	out := make([]int32, len(log))
+	var stack [maxTrackedDepth + 1]int32
+	top := 0
+	for i := len(log) - 1; i >= 0; i-- {
+		d := clampDepth(&log[i])
+		for top > 0 && clampDepth(&log[stack[top-1]]) >= d {
+			top--
+		}
+		out[i] = -1
+		if top > 0 {
+			out[i] = stack[top-1]
+		}
+		stack[top] = int32(i)
+		top++
+	}
+	return out
 }
 
-type batchPendingOcc struct {
-	body int
-	occ  uint64
-}
-
-// BatchCollector folds one lane's compact events into ACE reports. It is
-// the BatchSink counterpart of Collector: same charges, same helpers, no
-// isa.Inst reconstruction anywhere on the event path.
 // commitRec is one body position's deferred IQ charge: the lane's
 // relabeled Seq, the pre-issue wait, and the post-issue linger, packed into
 // one cache line's worth so the three per-commit writes touch one array.
@@ -98,6 +149,9 @@ type commitRec struct {
 	seq, wait, linger uint64
 }
 
+// BatchCollector folds one lane's compact events into ACE reports. It is
+// the BatchSink counterpart of Collector: same charges, same helpers, no
+// isa.Inst reconstruction anywhere on the event path.
 type BatchCollector struct {
 	cfg   CollectorConfig
 	group *BatchGroup
@@ -106,6 +160,14 @@ type BatchCollector struct {
 	bits    []uint64    // committed-body bitmap, parallel to recs
 	n       int         // one past the highest committed body index
 	commits int         // total commits; == n iff [0, n) is hole-free
+
+	// Read charges whose category resolves in Finish, summed per body
+	// position (each report's charge is linear in the occupancy, so sums
+	// settle exactly); parallel to recs, empty when the structure is off.
+	feWait  []uint64
+	sbOcc   []uint64
+	robWait []uint64
+	lsqOcc  []uint64
 
 	iq  Report
 	fe  Report
@@ -117,10 +179,10 @@ type BatchCollector struct {
 	// linear, so summed buckets settle exactly); index is dest<<1 | control.
 	wrongIQ [4]struct{ wait, linger uint64 }
 
-	fePending  []batchPendingRead
-	sbPending  []batchPendingOcc
-	robPending []batchPendingRead
-	lsqPending []batchPendingOcc
+	// Finish's scratch, kept across Reset: the tail patch's per-position
+	// state and its worklist bitmap.
+	tail []tailPos
+	pend []uint64
 }
 
 // NewBatchCollector builds one lane's collector over the batch's shared
@@ -135,15 +197,18 @@ func NewBatchCollector(cfg CollectorConfig, group *BatchGroup) (*BatchCollector,
 }
 
 // Reset re-arms a finished collector for a new lane, reusing the commit
-// record and bitmap storage — the collector's two big allocations — so a
-// pooled collector's steady state allocates nothing. Safe after Finish:
-// the returned Reports are detached copies and the deadness views own
-// their seqs, so resetting never mutates previously returned results.
+// record, bitmap and charge storage so a pooled collector's steady state
+// allocates nothing on the event path. Safe after Finish: the returned
+// Reports are detached copies and the deadness views own their seqs, so
+// resetting never mutates previously returned results. Arming a collector
+// starts a new batch on the group: all of a batch's collectors are armed
+// before its first Finish.
 func (c *BatchCollector) Reset(cfg CollectorConfig, group *BatchGroup) error {
 	if cfg.RegFile {
 		return fmt.Errorf("ace: the RegFile analysis is not available on the batched path")
 	}
 	c.cfg, c.group = cfg, group
+	group.end = 0
 	// A lane overshoots its commit target by at most IssueWidth-1 commits
 	// (one final multi-issue cycle); the slack keeps the last commits from
 	// hitting the grow path.
@@ -158,15 +223,40 @@ func (c *BatchCollector) Reset(cfg CollectorConfig, group *BatchGroup) error {
 		clear(c.recs)
 		clear(c.bits)
 	}
+	c.feWait = charges(c.feWait, cfg.FrontEnd, want)
+	c.sbOcc = charges(c.sbOcc, cfg.StoreBuffer, want)
+	c.robWait = charges(c.robWait, cfg.ROBSize > 0, want)
+	c.lsqOcc = charges(c.lsqOcc, cfg.LSQSize > 0, want)
 	c.n, c.commits = 0, 0
 	c.iq, c.fe, c.sb = Report{}, Report{}, SBReport{}
 	c.rob, c.lsq = Report{}, LSQReport{}
 	c.wrongIQ = [4]struct{ wait, linger uint64 }{}
-	c.fePending = c.fePending[:0]
-	c.sbPending = c.sbPending[:0]
-	c.robPending = c.robPending[:0]
-	c.lsqPending = c.lsqPending[:0]
 	return nil
+}
+
+// charges re-arms one per-body charge array: zeroed at length n when the
+// structure is analysed, empty otherwise.
+func charges(buf []uint64, on bool, n int) []uint64 {
+	if !on {
+		return buf[:0]
+	}
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// grow extends every body-indexed array past body.
+func (c *BatchCollector) grow(body int) {
+	c.recs = append(c.recs, make([]commitRec, body+16-len(c.recs))...)
+	c.bits = append(c.bits, make([]uint64, (len(c.recs)+63)/64-len(c.bits))...)
+	for _, a := range [...]*[]uint64{&c.feWait, &c.sbOcc, &c.robWait, &c.lsqOcc} {
+		if len(*a) > 0 {
+			*a = append(*a, make([]uint64, len(c.recs)-len(*a))...)
+		}
+	}
 }
 
 // BatchCommit implements pipeline.BatchSink. Out-of-order lanes commit in
@@ -177,8 +267,7 @@ func (c *BatchCollector) Reset(cfg CollectorConfig, group *BatchGroup) error {
 func (c *BatchCollector) BatchCommit(ref pipeline.BatchRef, seq, enq, issue uint64) {
 	body := ref.Body()
 	if body >= len(c.recs) {
-		c.recs = append(c.recs, make([]commitRec, body+16-len(c.recs))...)
-		c.bits = append(c.bits, make([]uint64, (len(c.recs)+63)/64-len(c.bits))...)
+		c.grow(body)
 	}
 	c.recs[body].seq = seq
 	c.recs[body].wait = issue - enq
@@ -186,6 +275,9 @@ func (c *BatchCollector) BatchCommit(ref pipeline.BatchRef, seq, enq, issue uint
 	c.commits++
 	if body >= c.n {
 		c.n = body + 1
+		if c.n > c.group.end {
+			c.group.end = c.n
+		}
 	}
 }
 
@@ -246,7 +338,11 @@ func (c *BatchCollector) BatchFrontEnd(ref pipeline.BatchRef, seq, fetched, unti
 		c.fe.addRead(wait, 0, CatWrongPath, t.Dest != isa.RegNone, t.Class.IsControl())
 		return
 	}
-	c.fePending = append(c.fePending, batchPendingRead{body: ref.Body(), wait: wait})
+	body := ref.Body()
+	if body >= len(c.recs) {
+		c.grow(body)
+	}
+	c.feWait[body] += wait
 }
 
 // BatchStoreBuffer implements pipeline.BatchSink: one drained (or run-end
@@ -258,7 +354,11 @@ func (c *BatchCollector) BatchStoreBuffer(ref pipeline.BatchRef, seq, enq, evict
 	if evict <= enq {
 		return
 	}
-	c.sbPending = append(c.sbPending, batchPendingOcc{body: ref.Body(), occ: evict - enq})
+	body := ref.Body()
+	if body >= len(c.recs) {
+		c.grow(body)
+	}
+	c.sbOcc[body] += evict - enq
 }
 
 // BatchROB implements pipeline.BatchOOOSink: one closed reorder-buffer
@@ -276,7 +376,11 @@ func (c *BatchCollector) BatchROB(ref pipeline.BatchRef, seq, enq, evict uint64,
 		c.rob.addNeverRead(occ)
 		return
 	}
-	c.robPending = append(c.robPending, batchPendingRead{body: ref.Body(), wait: occ})
+	body := ref.Body()
+	if body >= len(c.recs) {
+		c.grow(body)
+	}
+	c.robWait[body] += occ
 }
 
 // BatchLSQ implements pipeline.BatchOOOSink: one closed load/store-queue
@@ -293,104 +397,106 @@ func (c *BatchCollector) BatchLSQ(ref pipeline.BatchRef, seq, enq, evict uint64,
 		c.lsq.addNeverRead(occ)
 		return
 	}
-	c.lsqPending = append(c.lsqPending, batchPendingOcc{body: ref.Body(), occ: occ})
+	body := ref.Body()
+	if body >= len(c.recs) {
+		c.grow(body)
+	}
+	c.lsqOcc[body] += occ
 }
 
-// Finish settles every deferred charge against the group's shared deadness
-// and returns the lane's reports. cycles is the lane's Stats.Cycles. The
+// committed reports whether body position i has committed.
+func (c *BatchCollector) committed(i int) bool {
+	return i < c.n && c.bits[i>>6]>>(uint(i)&63)&1 == 1
+}
+
+// firstHole returns the lowest uncommitted body position below n, or n.
+func (c *BatchCollector) firstHole() int {
+	for w, b := range c.bits[:(c.n+63)/64] {
+		if b != ^uint64(0) {
+			return min(w*64+bits.TrailingZeros64(^b), c.n)
+		}
+	}
+	return c.n
+}
+
+// chargeBuckets accumulates a lane's deferred read charges per (category,
+// dest, control) bucket — key cat<<2 | shape — before one addRead (or add)
+// per bucket folds them into the reports.
+type chargeBuckets struct {
+	iq            [NumCategories * 4]struct{ wait, linger uint64 }
+	fe, rob       [NumCategories * 4]uint64
+	sbOcc, lsqOcc [NumCategories]uint64
+}
+
+// add charges body position i's deferred charges under key.
+func (b *chargeBuckets) add(c *BatchCollector, i int, key uint8) {
+	r := &c.recs[i]
+	b.iq[key].wait += r.wait
+	b.iq[key].linger += r.linger
+	if len(c.feWait) > 0 {
+		b.fe[key] += c.feWait[i]
+	}
+	if len(c.robWait) > 0 {
+		b.rob[key] += c.robWait[i]
+	}
+	if len(c.sbOcc) > 0 {
+		b.sbOcc[key>>2] += c.sbOcc[i]
+	}
+	if len(c.lsqOcc) > 0 {
+		b.lsqOcc[key>>2] += c.lsqOcc[i]
+	}
+}
+
+// Finish settles every deferred charge against the lane's deadness and
+// returns the lane's reports. cycles is the lane's Stats.Cycles. The
 // collector must not receive further events.
 func (c *BatchCollector) Finish(cycles uint64) *Reports {
-	// The committed set is usually the dense body prefix [0, c.n), which
-	// shares the group's memoised deadness. An out-of-order lane, though,
-	// can stop mid dataflow window with younger bodies committed while
-	// older ones are still in flight; the analysis must then run over
-	// exactly the committed sub-log — the solo Collector's log — with the
-	// holes excluded, so the lane pays for a private AnalyzeDeadness.
-	m := c.n
-	var (
-		dead   *Deadness
-		cats   []Category
-		log    []isa.Inst
-		bodies []int // ascending committed body indices; nil when dense
-	)
-	// Every body commits at most once, so c.commits == m proves the
-	// committed set is exactly the dense prefix [0, m).
-	if c.commits == m {
-		seqs := make([]uint64, m)
-		for i := range seqs {
-			seqs[i] = c.recs[i].seq
-		}
-		dead = c.group.viewFor(m, seqs)
-		cats = dead.cats
-		log = c.group.commitLog(m)
-	} else {
-		prefix := c.group.commitLog(m)
-		bodies = make([]int, 0, c.commits)
-		seqs := make([]uint64, 0, c.commits)
-		log = make([]isa.Inst, 0, c.commits)
-		for i := 0; i < m; i++ {
-			if c.bits[i>>6]>>(uint(i)&63)&1 == 1 {
-				bodies = append(bodies, i)
-				seqs = append(seqs, c.recs[i].seq)
-				log = append(log, prefix[i])
-			}
-		}
-		dead = AnalyzeDeadness(log)
-		dead.seqs = seqs // relabel to lane coordinates, as viewFor does
-		cats = dead.cats
+	dead, f := &Deadness{}, 0
+	var a *prefixAnalysis
+	if c.n > 0 {
+		a = c.group.analysis(max(c.group.end, c.n))
+		dead, f = c.patch(a)
 	}
-	// subIdx maps a body index to its position in log/cats, or -1 when the
-	// body never committed — the batched equivalent of an OfSeq miss.
-	subIdx := func(body int) int {
-		if bodies == nil {
-			if body < m {
-				return body
-			}
-			return -1
-		}
-		if j, ok := slices.BinarySearch(bodies, body); ok {
-			return j
-		}
-		return -1
+	// Body positions below the first hole are committed and sit at their
+	// own index in the lane's log; the rest are committed tail positions
+	// (at their rank) or were never committed — in flight at run end, so
+	// conservatively live.
+	var b chargeBuckets
+	for i := 0; i < f; i++ {
+		b.add(c, i, uint8(dead.cats[i])<<2|a.shape[i])
 	}
-
-	// addRead is linear in wait and linger (every charge is wait*k or
-	// linger*k for a constant k determined by the category and flags), so
-	// the per-commit charges aggregate exactly: sum per (category, dest,
-	// control) bucket, then fold each bucket through addRead once.
-	var agg [NumCategories * 4]struct{ wait, linger uint64 }
-	for i := range log {
-		in := &log[i]
-		r := &c.recs[i]
-		if bodies != nil {
-			r = &c.recs[bodies[i]]
-		}
-		key := int(cats[i]) * 4
-		if in.Dest != isa.RegNone {
-			key += 2
-		}
-		if in.Class.IsControl() {
-			key++
-		}
-		agg[key].wait += r.wait
-		agg[key].linger += r.linger
-	}
-	for key, a := range agg {
-		if a.wait == 0 && a.linger == 0 {
+	for i := f; i < len(c.recs); i++ {
+		cat := CatACE
+		switch {
+		case c.committed(i):
+			cat = dead.cats[c.tail[i-f].rank]
+		case !c.charged(i):
 			continue
 		}
-		c.iq.addRead(a.wait, a.linger, Category(key/4), key&2 != 0, key&1 != 0)
+		var shape uint8
+		if a != nil && i < a.m {
+			shape = a.shape[i]
+		} else {
+			shape = shapeOf(c.group.src.Body(i))
+		}
+		b.add(c, i, uint8(cat)<<2|shape)
 	}
-	for key, a := range c.wrongIQ {
-		if a.wait == 0 && a.linger == 0 {
+	for key, v := range b.iq {
+		if v.wait == 0 && v.linger == 0 {
 			continue
 		}
-		c.iq.addRead(a.wait, a.linger, CatWrongPath, key&2 != 0, key&1 != 0)
+		c.iq.addRead(v.wait, v.linger, Category(key>>2), key&2 != 0, key&1 != 0)
+	}
+	for key, v := range c.wrongIQ {
+		if v.wait == 0 && v.linger == 0 {
+			continue
+		}
+		c.iq.addRead(v.wait, v.linger, CatWrongPath, key&2 != 0, key&1 != 0)
 	}
 	// The returned Reports are value copies detached from the collector's
 	// own fields (Report and SBReport are flat apart from the Dead pointer,
-	// whose view is built fresh above), so a later Reset-and-reuse of this
-	// collector cannot reach back into results a caller retained.
+	// whose view is built fresh by patch), so a later Reset-and-reuse of
+	// this collector cannot reach back into results a caller retained.
 	c.iq.Cycles = cycles
 	c.iq.Entries = c.cfg.IQSize
 	c.iq.BitsPer = isa.EntryPayloadBits
@@ -400,17 +506,10 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 	out := &Reports{IQ: &iq, Dead: dead}
 
 	if c.cfg.FrontEnd {
-		for i := range c.fePending {
-			p := &c.fePending[i]
-			var in *isa.Inst
-			cat := CatACE // in flight at run end: conservatively live
-			if j := subIdx(p.body); j >= 0 {
-				cat = cats[j]
-				in = &log[j]
-			} else {
-				in = c.group.src.Body(p.body)
+		for key, w := range b.fe {
+			if w != 0 {
+				c.fe.addRead(w, 0, Category(key>>2), key&2 != 0, key&1 != 0)
 			}
-			c.fe.addRead(p.wait, 0, cat, in.Dest != isa.RegNone, in.Class.IsControl())
 		}
 		c.fe.Cycles = cycles
 		c.fe.Entries = c.cfg.FrontEndCap
@@ -421,13 +520,10 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 		out.FrontEnd = &fe
 	}
 	if c.cfg.StoreBuffer {
-		for i := range c.sbPending {
-			p := &c.sbPending[i]
-			cat := CatACE
-			if j := subIdx(p.body); j >= 0 {
-				cat = cats[j]
+		for cat, occ := range b.sbOcc {
+			if occ != 0 {
+				c.sb.add(occ, Category(cat))
 			}
-			c.sb.add(p.occ, cat)
 		}
 		c.sb.Cycles = cycles
 		c.sb.Entries = c.cfg.StoreBufferCap
@@ -436,17 +532,10 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 		out.StoreBuffer = &sb
 	}
 	if c.cfg.ROBSize > 0 {
-		for i := range c.robPending {
-			p := &c.robPending[i]
-			var in *isa.Inst
-			cat := CatACE // not in the log: conservatively live
-			if j := subIdx(p.body); j >= 0 {
-				cat = cats[j]
-				in = &log[j]
-			} else {
-				in = c.group.src.Body(p.body)
+		for key, w := range b.rob {
+			if w != 0 {
+				c.rob.addRead(w, 0, Category(key>>2), key&2 != 0, key&1 != 0)
 			}
-			c.rob.addRead(p.wait, 0, cat, in.Dest != isa.RegNone, in.Class.IsControl())
 		}
 		c.rob.Cycles = cycles
 		c.rob.Entries = c.cfg.ROBSize
@@ -457,13 +546,10 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 		out.ROB = &rob
 	}
 	if c.cfg.LSQSize > 0 {
-		for i := range c.lsqPending {
-			p := &c.lsqPending[i]
-			cat := CatACE
-			if j := subIdx(p.body); j >= 0 {
-				cat = cats[j]
+		for cat, occ := range b.lsqOcc {
+			if occ != 0 {
+				c.lsq.add(occ, Category(cat))
 			}
-			c.lsq.add(p.occ, cat)
 		}
 		c.lsq.Cycles = cycles
 		c.lsq.Entries = c.cfg.LSQSize
@@ -472,4 +558,218 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 		out.LSQ = &lsq
 	}
 	return out
+}
+
+// charged reports whether body position i carries any deferred charge.
+func (c *BatchCollector) charged(i int) bool {
+	r := &c.recs[i]
+	return r.wait|r.linger != 0 ||
+		len(c.feWait) > 0 && c.feWait[i] != 0 ||
+		len(c.sbOcc) > 0 && c.sbOcc[i] != 0 ||
+		len(c.robWait) > 0 && c.robWait[i] != 0 ||
+		len(c.lsqOcc) > 0 && c.lsqOcc[i] != 0
+}
+
+// tailPos is the tail patch's state for one analysed position t = f+j at
+// or after the lane's first hole f.
+type tailPos struct {
+	kept bool       // t committed in the lane
+	rank int32      // t's index in the lane's log, when kept
+	over int32      // lane overwrite of the definition at t (prefix index), or -1
+	use  useSummary // the lane's consumers of the definition at t
+	// aOver and aUse are the lane overwrite and tail consumers of the
+	// definition p < f whose prefix overwrite is t, if there is one: the
+	// definitions live across f, which alone can see their def-use change.
+	aOver int32
+	aUse  useSummary
+}
+
+// patch derives the lane's exact deadness from the shared analysis of the
+// prefix [0, a.m): the classification AnalyzeDeadness would produce on the
+// lane's committed sub-log, which is the prefix minus R = its holes plus
+// [n, a.m). It also returns the lane's first hole f (a.m when R is empty).
+//
+// Positions below f are unchanged, so only definitions live across f can
+// see their overwrite, consumers or return-deadness change: the tail is
+// re-linked over the prefix's producer and overwrite chains, classified in
+// descending order, and every category change that alters what a producer
+// reads (dead or live, via memory or not) is pushed down a worklist in
+// descending position order, so each definition is re-classified once,
+// after all of its consumers.
+func (c *BatchCollector) patch(a *prefixAnalysis) (*Deadness, int) {
+	seqs := make([]uint64, c.commits)
+	f := c.firstHole()
+	if f == a.m {
+		// R is empty: the lane committed exactly the analysed prefix.
+		for i := range seqs {
+			seqs[i] = c.recs[i].seq
+		}
+		d := *a.dead
+		d.seqs = seqs
+		return &d, f
+	}
+	du, log := a.du, a.log
+
+	L := a.m - f
+	if cap(c.tail) < L {
+		c.tail = make([]tailPos, L)
+	}
+	tail := c.tail[:L]
+	rank := int32(f)
+	for j := range tail {
+		tp := &tail[j]
+		*tp = tailPos{over: -1, aOver: -1}
+		if c.committed(f + j) {
+			tp.kept, tp.rank = true, rank
+			seqs[rank] = c.recs[f+j].seq
+			rank++
+		}
+	}
+	removed := func(q int32) bool { return int(q) >= f && !tail[int(q)-f].kept }
+	// next follows an overwrite chain past removed definitions; resolve
+	// follows a producer link back past them.
+	next := func(o int32) int32 {
+		for o >= 0 && removed(o) {
+			o = du.overwrite[o]
+		}
+		return o
+	}
+	resolve := func(q int32) int32 {
+		for q >= 0 && removed(q) {
+			q = du.prev[q]
+		}
+		return q
+	}
+	// returnIn reports whether a kept tail position in [from, to] has a
+	// clamped call depth below d: a return past the definition's frame.
+	returnIn := func(from, to, d int) bool {
+		for t := from; t <= to; t++ {
+			if tail[t-f].kept && clampDepth(&log[t]) < d {
+				return true
+			}
+		}
+		return false
+	}
+	for j := range tail {
+		t := int32(f + j)
+		if tail[j].kept {
+			tail[j].over = next(du.overwrite[t])
+		}
+		if p := du.prev[t]; p >= 0 && int(p) < f {
+			tail[j].aOver = next(t)
+		}
+	}
+
+	// The tail, in descending order: every consumer of a tail definition
+	// is later in the tail, so its summary is complete when it is reached.
+	cats := make([]Category, c.commits)
+	for j := L - 1; j >= 0; j-- {
+		tp := &tail[j]
+		if !tp.kept {
+			continue
+		}
+		t := f + j
+		in := &log[t]
+		over := tp.over >= 0
+		rd := over && !tp.use.any && in.HasDest() && returnIn(t+1, int(tp.over), clampDepth(in))
+		cat := categorize(in, over, rd, tp.use)
+		cats[tp.rank] = cat
+		for _, q := range du.prod[t] {
+			switch q = resolve(q); {
+			case q < 0:
+			case int(q) >= f:
+				tail[int(q)-f].use.add(cat)
+			case du.overwrite[q] >= 0:
+				// A definition live across f: its prefix overwrite is in
+				// the tail, which keys its slot.
+				tail[int(du.overwrite[q])-f].aUse.add(cat)
+			}
+		}
+	}
+
+	// The prefix below f: start from the shared categories and re-classify
+	// the definitions live across f, then whatever their changes reach.
+	for i := range f {
+		seqs[i] = c.recs[i].seq
+	}
+	copy(cats, a.dead.cats[:f])
+	nw := (f + 63) / 64
+	if cap(c.pend) < nw {
+		c.pend = make([]uint64, nw)
+	}
+	pend := c.pend[:nw]
+	clear(pend)
+	for j := range tail {
+		if p := du.prev[f+j]; p >= 0 && int(p) < f {
+			pend[p>>6] |= 1 << (uint(p) & 63)
+		}
+	}
+	for w := nw - 1; w >= 0; w-- {
+		for pend[w] != 0 {
+			b := 63 - bits.LeadingZeros64(pend[w])
+			pend[w] &^= 1 << uint(b)
+			p := w<<6 | b
+			in := &log[p]
+			var u useSummary
+			for _, ci := range du.cons[du.consOff[p]:du.consOff[p+1]] {
+				if int(ci) < f {
+					u.add(cats[ci])
+				}
+			}
+			over, rd := du.overwrite[p] >= 0, du.retDead[p]
+			if o := int(du.overwrite[p]); o >= f {
+				tp := &tail[o-f]
+				u.merge(tp.aUse)
+				over = tp.aOver >= 0
+				// Positions up to f are all kept, so the prefix's first
+				// lower-depth position decides when it lies before f.
+				fb := a.below[p]
+				rd = over && !u.any && in.HasDest() &&
+					(fb >= 0 && int(fb) < f || returnIn(f, int(tp.aOver), clampDepth(in)))
+			}
+			old := cats[p]
+			cats[p] = categorize(in, over, rd, u)
+			if useStatus(cats[p]) != useStatus(old) {
+				for _, q := range du.prod[p] {
+					if q >= 0 {
+						pend[q>>6] |= 1 << (uint(q) & 63)
+					}
+				}
+			}
+		}
+	}
+
+	// Counts and the FDD distance lists, in the lane's log coordinates.
+	d := &Deadness{seqs: seqs, cats: cats}
+	for _, cat := range cats {
+		d.Counts[cat]++
+	}
+	for _, cat := range [...]Category{CatFDDReg, CatFDDRet, CatFDDMem} {
+		if k := d.Counts[cat]; k > 0 {
+			*d.fddList(cat) = make([]int, 0, k)
+		}
+	}
+	laneIdx := func(o int32) int {
+		if int(o) < f {
+			return int(o)
+		}
+		return int(tail[int(o)-f].rank)
+	}
+	for i, cat := range cats[:f] {
+		if l := d.fddList(cat); l != nil {
+			o := du.overwrite[i]
+			if int(o) >= f {
+				o = tail[int(o)-f].aOver
+			}
+			*l = append(*l, laneIdx(o)-i)
+		}
+	}
+	for j := range tail {
+		if tp := &tail[j]; tp.kept {
+			if l := d.fddList(cats[tp.rank]); l != nil {
+				*l = append(*l, laneIdx(tp.over)-int(tp.rank))
+			}
+		}
+	}
+	return d, f
 }

@@ -36,12 +36,150 @@ type Deadness struct {
 // detection; deeper nesting is clamped (a safe, conservative choice).
 const maxTrackedDepth = 64
 
-// perDef records def-use facts for one register definition (one committed
-// instruction with a destination).
-type perDef struct {
-	overwrite int32 // log index of the overwriting def; -1 if none by end
-	retDead   bool  // a return below the def's depth happened before overwrite
-	consumers []int32
+// clampDepth is an instruction's call depth as the analysis tracks it.
+func clampDepth(in *isa.Inst) int {
+	return min(int(in.CallDepth), maxTrackedDepth)
+}
+
+// defUse is the def-use structure of one commit log, stored as flat index
+// arrays over log positions instead of a consumer slice per definition: a
+// handful of allocations per analysis however long the log. A definition
+// is a committed register write or store (stores carry no destination
+// register, so the two kinds never share a position).
+type defUse struct {
+	// overwrite[i] is the position of the next write of definition i's
+	// register (or the next store to its address); -1 when none follows.
+	// prev is the inverse link: prev[o] is the definition o overwrote.
+	overwrite []int32
+	prev      []int32
+	// retDead[i] reports that a return below i's call depth happened
+	// after i and no later than its overwrite.
+	retDead []bool
+	// prod[i] links position i to the definitions it reads: the reaching
+	// definitions of its guard, src1 and src2 registers and, for a load,
+	// the store it reads; -1 marks an absent link.
+	prod [][4]int32
+	// The consumers of definition i are cons[consOff[i]:consOff[i+1]], in
+	// log order: the inverse of prod, one CSR offsets array plus one
+	// consumers array.
+	consOff []int32
+	cons    []int32
+}
+
+// buildDefUse runs the forward pass of the deadness analysis over log.
+func buildDefUse(log []isa.Inst) *defUse {
+	n := len(log)
+	du := &defUse{
+		overwrite: make([]int32, n),
+		prev:      make([]int32, n),
+		retDead:   make([]bool, n),
+		prod:      make([][4]int32, n),
+		consOff:   make([]int32, n+1),
+	}
+	if n == 0 {
+		return du
+	}
+
+	// regDef[r] is the log index of the live definition of register r, or
+	// -1. Memory def-use is per 8-byte-aligned address: each store's
+	// consumers are the loads reading its address before the next store;
+	// the next store is its overwriter.
+	var regDef [isa.NumRegs]int32
+	for i := range regDef {
+		regDef[i] = -1
+	}
+	storeAt := make(map[uint64]int32) // addr -> pending store log index
+	reach := func(r isa.Reg) int32 {
+		if r == isa.RegNone {
+			return -1
+		}
+		return regDef[r]
+	}
+
+	// lastBelow[d] is the most recent log index at which the call depth
+	// was strictly below d; used to detect return-dead overwrites.
+	var lastBelow [maxTrackedDepth + 2]int32
+	for i := range lastBelow {
+		lastBelow[i] = -1
+	}
+	prevDepth := int(log[0].CallDepth)
+
+	for i := range log {
+		in := &log[i]
+		idx := int32(i)
+		du.overwrite[i], du.prev[i] = -1, -1
+
+		// Maintain return timestamps.
+		depth := clampDepth(in)
+		if depth < prevDepth {
+			for dd := depth + 1; dd <= prevDepth && dd < len(lastBelow); dd++ {
+				lastBelow[dd] = idx
+			}
+		}
+		prevDepth = depth
+
+		// Uses. Predicated-false instructions read only their guard;
+		// neutral instructions read nothing that matters.
+		p := &du.prod[i]
+		*p = [4]int32{-1, -1, -1, -1}
+		if !in.Class.Neutral() {
+			p[0] = reach(in.PredGuard)
+			if !in.PredFalse {
+				p[1] = reach(in.Src1)
+				p[2] = reach(in.Src2)
+			}
+		}
+
+		// Memory effects.
+		switch {
+		case in.Class == isa.ClassLoad && !in.PredFalse:
+			if si, ok := storeAt[in.Addr]; ok {
+				p[3] = si
+			}
+		case in.Class == isa.ClassStore && !in.PredFalse:
+			if prev, ok := storeAt[in.Addr]; ok {
+				du.overwrite[prev] = idx
+				du.prev[i] = prev
+			}
+			storeAt[in.Addr] = idx
+		}
+
+		for _, q := range p {
+			if q >= 0 {
+				du.consOff[q+1]++ // consumer count, turned into offsets below
+			}
+		}
+
+		// Defs: close the previous definition of Dest.
+		if in.HasDest() {
+			r := in.Dest
+			if prev := regDef[r]; prev >= 0 {
+				du.overwrite[prev] = idx
+				du.prev[i] = prev
+				du.retDead[prev] = lastBelow[clampDepth(&log[prev])] > prev
+			}
+			regDef[r] = idx
+		}
+	}
+
+	// Invert prod into the CSR consumer lists: the forward pass counted
+	// each definition's consumers; place them, using consOff[q] as q's fill
+	// cursor and shifting the offsets back into place afterwards.
+	for i := 1; i <= n; i++ {
+		du.consOff[i] += du.consOff[i-1]
+	}
+	du.cons = make([]int32, du.consOff[n])
+	for i := range du.prod {
+		for _, q := range du.prod[i] {
+			if q >= 0 {
+				du.cons[du.consOff[q]] = int32(i)
+				du.consOff[q]++
+			}
+		}
+	}
+	copy(du.consOff[1:], du.consOff[:n])
+	du.consOff[0] = 0
+	return du
 }
 
 // AnalyzeDeadness discovers dynamically dead instructions in a committed
@@ -63,6 +201,12 @@ type perDef struct {
 // predicated-false instructions do not make a value live: those readers
 // cannot affect the program's outcome.
 func AnalyzeDeadness(log []isa.Inst) *Deadness {
+	return buildDefUse(log).deadness(log)
+}
+
+// deadness runs the reverse (classification) pass over the def-use arrays
+// and assembles the result.
+func (du *defUse) deadness(log []isa.Inst) *Deadness {
 	d := &Deadness{}
 	if len(log) == 0 {
 		return d
@@ -70,99 +214,15 @@ func AnalyzeDeadness(log []isa.Inst) *Deadness {
 	d.seqs = make([]uint64, 0, len(log))
 	d.cats = make([]Category, 0, len(log))
 
-	defs := make([]perDef, len(log))
-	cats := make([]Category, len(log))
-
-	// regDef[r] is the log index of the live definition of register r, or
-	// -1. Memory tracking is per 8-byte-aligned address.
-	var regDef [isa.NumRegs]int32
-	for i := range regDef {
-		regDef[i] = -1
-	}
-	// Memory def-use, per 8-byte-aligned address: each store's consumers
-	// are the loads reading its address before the next store; the next
-	// store is its overwriter. The consumer/overwrite slots of defs are
-	// reused (stores have no register destination).
-	storeAt := make(map[uint64]int32) // addr -> pending store log index
-
-	// lastBelow[d] is the most recent log index at which the call depth
-	// was strictly below d; used to detect return-dead overwrites.
-	var lastBelow [maxTrackedDepth + 2]int32
-	for i := range lastBelow {
-		lastBelow[i] = -1
-	}
-	prevDepth := int(log[0].CallDepth)
-
-	use := func(r isa.Reg, consumer int32) {
-		if r == isa.RegNone {
-			return
-		}
-		if di := regDef[r]; di >= 0 {
-			defs[di].consumers = append(defs[di].consumers, consumer)
-		}
-	}
-
-	for i := range log {
-		in := &log[i]
-		idx := int32(i)
-
-		// Maintain return timestamps.
-		depth := int(in.CallDepth)
-		if depth > maxTrackedDepth {
-			depth = maxTrackedDepth
-		}
-		if depth < prevDepth {
-			for dd := depth + 1; dd <= prevDepth && dd < len(lastBelow); dd++ {
-				lastBelow[dd] = idx
-			}
-		}
-		prevDepth = depth
-
-		// Uses. Predicated-false instructions read only their guard;
-		// neutral instructions read nothing that matters.
-		if !in.Class.Neutral() {
-			use(in.PredGuard, idx)
-			if !in.PredFalse {
-				use(in.Src1, idx)
-				use(in.Src2, idx)
-			}
-		}
-
-		// Memory effects.
-		switch {
-		case in.Class == isa.ClassLoad && !in.PredFalse:
-			if si, ok := storeAt[in.Addr]; ok {
-				defs[si].consumers = append(defs[si].consumers, idx)
-			}
-		case in.Class == isa.ClassStore && !in.PredFalse:
-			if prev, ok := storeAt[in.Addr]; ok {
-				defs[prev].overwrite = idx
-			}
-			storeAt[in.Addr] = idx
-			defs[i].overwrite = -1
-		}
-
-		// Defs: close the previous definition of Dest.
-		if in.HasDest() {
-			r := in.Dest
-			if prev := regDef[r]; prev >= 0 {
-				defs[prev].overwrite = idx
-				defDepth := int(log[prev].CallDepth)
-				if defDepth > maxTrackedDepth {
-					defDepth = maxTrackedDepth
-				}
-				defs[prev].retDead = lastBelow[defDepth] > prev
-			}
-			regDef[r] = idx
-			defs[i].overwrite = -1
-		}
-	}
-
 	// Reverse pass: consumers are later in the log, so their categories
 	// are known when the producer is classified.
+	cats := make([]Category, len(log))
 	for i := len(log) - 1; i >= 0; i-- {
-		in := &log[i]
-		cats[i] = classifyOne(in, i, defs, cats)
+		var u useSummary
+		for _, ci := range du.cons[du.consOff[i]:du.consOff[i+1]] {
+			u.add(cats[ci])
+		}
+		cats[i] = categorize(&log[i], du.overwrite[i] >= 0, du.retDead[i], u)
 	}
 
 	sorted := true
@@ -177,11 +237,11 @@ func AnalyzeDeadness(log []isa.Inst) *Deadness {
 		d.Counts[c]++
 		switch c {
 		case CatFDDReg:
-			d.FDDRegDist = append(d.FDDRegDist, int(defs[i].overwrite)-i)
+			d.FDDRegDist = append(d.FDDRegDist, int(du.overwrite[i])-i)
 		case CatFDDRet:
-			d.FDDRetDist = append(d.FDDRetDist, int(defs[i].overwrite)-i)
+			d.FDDRetDist = append(d.FDDRetDist, int(du.overwrite[i])-i)
 		case CatFDDMem:
-			d.FDDMemDist = append(d.FDDMemDist, int(defs[i].overwrite)-i)
+			d.FDDMemDist = append(d.FDDMemDist, int(du.overwrite[i])-i)
 		}
 	}
 	if !sorted {
@@ -203,9 +263,36 @@ func AnalyzeDeadness(log []isa.Inst) *Deadness {
 	return d
 }
 
-// classifyOne assigns the category for one committed instruction given the
-// (already classified) categories of every later instruction.
-func classifyOne(in *isa.Inst, i int, defs []perDef, cats []Category) Category {
+// useSummary folds a definition's consumers into the three facts its
+// classification reads: whether any exist, whether any is live, and
+// whether any is dead via memory.
+type useSummary struct {
+	any, live, mem bool
+}
+
+func (u *useSummary) add(c Category) {
+	u.any = true
+	u.live = u.live || !c.Dead()
+	u.mem = u.mem || c == CatFDDMem || c == CatTDDMem
+}
+
+func (u *useSummary) merge(v useSummary) {
+	u.any = u.any || v.any
+	u.live = u.live || v.live
+	u.mem = u.mem || v.mem
+}
+
+// useStatus is the part of a category its producers' classification
+// depends on: dead or live, and dead via memory or not.
+func useStatus(c Category) [2]bool {
+	return [2]bool{c.Dead(), c == CatFDDMem || c == CatTDDMem}
+}
+
+// categorize assigns the category for one committed instruction from its
+// def-use facts: whether it is overwritten within the log, whether a
+// return below its depth intervened before that overwrite, and the summary
+// of its (already classified) consumers.
+func categorize(in *isa.Inst, overwritten, retDead bool, u useSummary) Category {
 	switch {
 	case in.WrongPath:
 		return CatWrongPath
@@ -214,41 +301,26 @@ func classifyOne(in *isa.Inst, i int, defs []perDef, cats []Category) Category {
 	case in.Class.Neutral():
 		return CatNeutral
 	case in.Class == isa.ClassStore:
-		def := &defs[i]
-		if def.overwrite < 0 {
+		switch {
+		case !overwritten:
 			return CatACE // never overwritten: conservatively live
-		}
-		if len(def.consumers) == 0 {
+		case !u.any:
 			return CatFDDMem // overwritten before any load
-		}
-		for _, ci := range def.consumers {
-			if !cats[ci].Dead() {
-				return CatACE // a live load consumed the value
-			}
+		case u.live:
+			return CatACE // a live load consumed the value
 		}
 		return CatTDDMem // read only by dead loads
 	case in.HasDest():
-		def := &defs[i]
-		if def.overwrite < 0 {
+		switch {
+		case !overwritten:
 			return CatACE // live-out: conservatively live
-		}
-		if len(def.consumers) == 0 {
-			if def.retDead {
-				return CatFDDRet
-			}
+		case !u.any && retDead:
+			return CatFDDRet
+		case !u.any:
 			return CatFDDReg
-		}
-		memTracked := false
-		for _, ci := range def.consumers {
-			cc := cats[ci]
-			if !cc.Dead() {
-				return CatACE // at least one live reader
-			}
-			if cc == CatFDDMem || cc == CatTDDMem {
-				memTracked = true
-			}
-		}
-		if memTracked {
+		case u.live:
+			return CatACE // at least one live reader
+		case u.mem:
 			return CatTDDMem
 		}
 		return CatTDDReg
@@ -256,6 +328,20 @@ func classifyOne(in *isa.Inst, i int, defs []perDef, cats []Category) Category {
 		// Branches, calls, returns, I/O, destination-less instructions.
 		return CatACE
 	}
+}
+
+// fddList returns the distance list a first-level-dead category records
+// into, or nil for any other category.
+func (d *Deadness) fddList(c Category) *[]int {
+	switch c {
+	case CatFDDReg:
+		return &d.FDDRegDist
+	case CatFDDRet:
+		return &d.FDDRetDist
+	case CatFDDMem:
+		return &d.FDDMemDist
+	}
+	return nil
 }
 
 // Of returns the category recorded for the given dynamic instruction.

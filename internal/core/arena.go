@@ -15,11 +15,13 @@ import (
 // arrays (~26%), the workload's decode memos (~20%) and the deadness
 // analyses (~4%). An Arena keeps all four alive between waves — pooled
 // warm hierarchies re-stamped via cache.CloneInto, collectors re-armed via
-// ace.BatchCollector.Reset, decoded workload.Shared streams (with their
-// ace.BatchGroup deadness memos) cached by Params — plus the pipeline's
-// lane/slab arena. Reuse is invisible in the results: every reused object
-// is either re-stamped bit-identically, fully reset, or a deterministic
-// memo whose content depends only on the workload parameters. The
+// ace.BatchCollector.Reset, decoded workload.Shared streams cached by
+// Params, each with its ace.BatchGroup (whose last body-prefix deadness
+// analysis serves the next batch over the same stream that ends at the
+// same length) — plus the pipeline's lane/slab arena. Reuse is invisible
+// in the results: every reused object is either re-stamped
+// bit-identically, fully reset, or a deterministic memo whose content
+// depends only on the workload parameters. The
 // arena-reuse seraudit check pins fresh-arena ≡ reused-arena byte
 // identity; batched-independent and the -j/fleet identities pin the rest.
 
@@ -41,9 +43,9 @@ const (
 )
 
 // streamEntry is one decoded workload kept alive across batch waves: the
-// shared stream memo plus its analysis group, whose deadness memos are
-// thereby shared across every batch group of a grid that runs this
-// workload — not just within one group.
+// shared stream memo plus its analysis group, whose deadness memo is
+// thereby shared across every batch of a grid that runs this workload —
+// not just within one batch.
 type streamEntry struct {
 	params workload.Params
 	sh     *workload.Shared
@@ -67,10 +69,16 @@ func NewArena() *Arena { return &Arena{} }
 // reusing the cached entry when this arena has evaluated w before. The
 // memo content is deterministic in w (generation is seeded by the
 // workload parameters), so a reused entry is byte-for-byte the stream a
-// fresh decode would produce — just already materialised.
+// fresh decode would produce — just already materialised. Only the most
+// recently used stream keeps its group's deadness analysis: consecutive
+// batches over one stream reuse it, and an arena's resident analyses stay
+// at one however many streams it caches.
 func (a *Arena) stream(w workload.Params) (*workload.Shared, *ace.BatchGroup, error) {
 	for i, e := range a.streams {
 		if e.params == w {
+			if i > 0 {
+				a.streams[0].group.Release()
+			}
 			copy(a.streams[1:i+1], a.streams[:i])
 			a.streams[0] = e
 			return e.sh, e.group, nil
@@ -79,6 +87,9 @@ func (a *Arena) stream(w workload.Params) (*workload.Shared, *ace.BatchGroup, er
 	sh, err := workload.NewShared(w)
 	if err != nil {
 		return nil, nil, err
+	}
+	if len(a.streams) > 0 {
+		a.streams[0].group.Release()
 	}
 	e := &streamEntry{params: w, sh: sh, group: ace.NewBatchGroup(sh)}
 	if len(a.streams) < arenaStreamCap {

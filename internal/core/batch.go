@@ -21,8 +21,9 @@ type BatchSpec struct {
 }
 
 // RunBatchContext evaluates K configuration variants over one decode of
-// the workload's instruction stream: one generator pass, one deadness
-// analysis per realised commit-log length, K compact pipeline lanes. Each
+// the workload's instruction stream: one generator pass, K compact
+// pipeline lanes, and one deadness analysis of the longest committed body
+// prefix, which each lane's collector patches to its own committed set. Each
 // returned Result is byte-identical to RunContext under the same spec —
 // the batched-independent seraudit check pins this.
 //
@@ -40,7 +41,8 @@ func RunBatchContext(ctx context.Context, w workload.Params, commits uint64, spe
 // decoded stream memos, warm hierarchies, collectors, lane state — from
 // the caller's arena. Arena reuse is invisible in the results: a reused
 // arena returns byte-identical Results to a fresh one (the arena-reuse
-// seraudit check pins this). The arena serves one run at a time.
+// seraudit check pins this). The arena serves one run at a time. Every
+// lane's cycles go to the context's Meter, if it carries one.
 func RunBatchArena(ctx context.Context, a *Arena, w workload.Params, commits uint64, specs []BatchSpec) ([]*Result, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
@@ -99,7 +101,7 @@ func RunBatchArena(ctx context.Context, a *Arena, w workload.Params, commits uin
 		reps := colls[i].Finish(st.Cycles)
 		a.putCollector(colls[i])
 		a.putHierarchy(mems[i])
-		simCycles.Add(st.Cycles)
+		meterCycles(ctx, st.Cycles)
 		out[i] = &Result{
 			Name:              w.Name,
 			IPC:               st.IPC(),

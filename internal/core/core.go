@@ -136,14 +136,29 @@ type Config struct {
 // DefaultCommits is the default per-run commit count.
 const DefaultCommits = 100_000
 
-// simCycles accumulates every cycle simulated by this process, across all
-// workers and drivers; the evaluation service reads it to report a
-// simulated-Mcycles/s throughput gauge.
-var simCycles atomic.Uint64
+// Meter counts the cycles simulated by the runs whose context carries it
+// (WithMeter): a scope — one server, one job, one test — rather than the
+// whole process, so concurrent scopes cannot see each other's work. Safe
+// for concurrent use; the zero value is ready.
+type Meter struct{ cycles atomic.Uint64 }
 
-// CyclesSimulated returns the total number of cycles simulated by this
-// process so far. Safe for concurrent use.
-func CyclesSimulated() uint64 { return simCycles.Load() }
+// Cycles returns the total cycles the meter has counted.
+func (m *Meter) Cycles() uint64 { return m.cycles.Load() }
+
+type meterKey struct{}
+
+// WithMeter returns a context under which RunContext and the batched runs
+// add every simulated cycle to m.
+func WithMeter(ctx context.Context, m *Meter) context.Context {
+	return context.WithValue(ctx, meterKey{}, m)
+}
+
+// meterCycles adds a finished run's cycles to the context's meter, if any.
+func meterCycles(ctx context.Context, cycles uint64) {
+	if m, _ := ctx.Value(meterKey{}).(*Meter); m != nil {
+		m.cycles.Add(cycles)
+	}
+}
 
 // Result is the distilled outcome of one simulation.
 type Result struct {
@@ -203,7 +218,8 @@ func Run(cfg Config) (*Result, error) {
 
 // RunContext is Run with cooperative cancellation threaded through the
 // pipeline's cycle loop, so a SIGINT or watchdog aborts within one
-// simulation rather than one campaign.
+// simulation rather than one campaign. A finished run adds its cycles to
+// the context's Meter, if it carries one.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Commits == 0 {
 		cfg.Commits = DefaultCommits
@@ -266,7 +282,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			res.LSQReport = ace.AnalyzeLSQ(tr, rep.Dead)
 			res.TAGEReport = ace.AnalyzeTAGE(tr)
 		}
-		simCycles.Add(res.Cycles)
+		meterCycles(ctx, res.Cycles)
 		return res, nil
 	}
 	// Streaming path: residencies fold into the AVF integrals as their
@@ -285,7 +301,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	reps := coll.Finish(st.Cycles)
-	simCycles.Add(st.Cycles)
+	meterCycles(ctx, st.Cycles)
 	return &Result{
 		Name:              cfg.Workload.Name,
 		IPC:               st.IPC(),

@@ -19,7 +19,6 @@ import (
 	"softerror/internal/ace"
 	"softerror/internal/cache"
 	"softerror/internal/isa"
-	"softerror/internal/par"
 	"softerror/internal/pibit"
 	"softerror/internal/pipeline"
 	"softerror/internal/rng"
@@ -257,16 +256,6 @@ func (inj *Injector) RunRange(ctx context.Context, cfg Config, lo, hi int) (*Res
 // to its first-try counterpart.
 func (inj *Injector) StrikeOutcome(cfg Config, i int) Outcome {
 	return inj.strike(strikeStream(cfg.Seed, i), cfg, cfg.engine())
-}
-
-// RunMany executes one campaign per configuration, fanning them out over
-// the worker pool (workers <= 0 means the par package default). The injector
-// is read-only during campaigns and every strike owns an index-derived RNG
-// stream — so the result slice is bit-identical to running the
-// configurations one after another.
-func (inj *Injector) RunMany(cfgs []Config, workers int) ([]*Result, error) {
-	c := &Campaign{Injector: inj, Configs: cfgs, Opts: par.Options{Workers: workers}}
-	return c.Run(context.Background())
 }
 
 // strike injects one uniformly sampled fault and classifies it.

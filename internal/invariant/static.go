@@ -108,9 +108,14 @@ func checkStaticBounds(seed uint64, opt Options) error {
 
 // checkBoundServing audits the production surface on a seed-drawn roster
 // cell: two identical /v1/bound queries must produce byte-identical bodies
-// (the second from cache), and the process-wide simulated-cycle counter —
-// the expvar mcycles_simulated source — must not move.
-func checkBoundServing(s *rng.Stream) error {
+// (the second from cache), and the server's own cycle meter — the expvar
+// mcycles_simulated source — must not move.
+func checkBoundServing(s *rng.Stream) error { return boundServing(s, nil) }
+
+// boundServing is checkBoundServing with a hook run on the same server
+// between the two bound queries. The check's negative test makes the hook
+// simulate, proving the meter assertion can fail.
+func boundServing(s *rng.Stream, between func(*server.Server) error) error {
 	srv := server.New(server.Config{Workers: 1, CacheBytes: 1 << 20})
 	defer srv.Close()
 
@@ -121,10 +126,15 @@ func checkBoundServing(s *rng.Stream) error {
 	target := fmt.Sprintf("/v1/bound?bench=%s&iqsize=%d&ooo=%v&commits=4000",
 		bench, iq, ooo)
 
-	before := core.CyclesSimulated()
+	before := srv.CyclesSimulated()
 	r1 := get(srv, target)
 	if r1.Code != http.StatusOK {
 		return fmt.Errorf("GET %s = %d: %s", target, r1.Code, r1.Body.String())
+	}
+	if between != nil {
+		if err := between(srv); err != nil {
+			return err
+		}
 	}
 	r2 := get(srv, target)
 	if r2.Code != http.StatusOK {
@@ -136,7 +146,7 @@ func checkBoundServing(s *rng.Stream) error {
 	if h := r2.Header().Get("X-Cache"); h != "hit" {
 		return fmt.Errorf("repeat bound query served %q, want cache hit", h)
 	}
-	if after := core.CyclesSimulated(); after != before {
+	if after := srv.CyclesSimulated(); after != before {
 		return fmt.Errorf("bound queries moved mcycles_simulated by %d cycles, want 0",
 			after-before)
 	}

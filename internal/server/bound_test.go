@@ -24,7 +24,7 @@ func TestBoundServesWithoutSimulating(t *testing.T) {
 	s := New(Config{Workers: 2, MaxEvals: 0}) // zero eval slots: bounds must not need one
 	defer s.Close()
 
-	before := core.CyclesSimulated()
+	before := s.CyclesSimulated()
 	const target = "/v1/bound?bench=mcf&policy=squash-l1&iqsize=32&ooo=true&commits=5000"
 	w1 := getBound(t, s, target)
 	if w1.Code != 200 {
@@ -43,7 +43,7 @@ func TestBoundServesWithoutSimulating(t *testing.T) {
 	if !bytes.Equal(w1.Body.Bytes(), w2.Body.Bytes()) {
 		t.Fatalf("bound responses differ:\n%s\nvs\n%s", w1.Body.String(), w2.Body.String())
 	}
-	if after := core.CyclesSimulated(); after != before {
+	if after := s.CyclesSimulated(); after != before {
 		t.Fatalf("bound queries simulated %d cycles, want 0", after-before)
 	}
 	if got := s.metrics.boundQueries.Value(); got != 2 {
@@ -51,6 +51,29 @@ func TestBoundServesWithoutSimulating(t *testing.T) {
 	}
 	if got := s.metrics.boundsServed.Value(); got != 2 {
 		t.Errorf("bounds_served = %d, want 2", got)
+	}
+}
+
+// TestBoundMeterSeesSimulation is the negative half of the check above:
+// an eval miss on the same server between the two readings moves that
+// server's meter, so the zero-cycle assertion cannot pass vacuously.
+func TestBoundMeterSeesSimulation(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+
+	before := s.CyclesSimulated()
+	getBound(t, s, "/v1/bound?bench=mcf&commits=5000")
+	if w := do(s, "POST", "/v1/eval", evalBody("table1", false)); w.Code != 200 {
+		t.Fatalf("eval = %d: %s", w.Code, w.Body.String())
+	}
+	getBound(t, s, "/v1/bound?bench=mcf&commits=5000")
+	if s.CyclesSimulated() == before {
+		t.Fatal("an eval miss between the bound queries left the server's meter still")
+	}
+	other := New(Config{Workers: 1})
+	defer other.Close()
+	if got := other.CyclesSimulated(); got != 0 {
+		t.Fatalf("a second server's meter counted %d cycles of the first's work", got)
 	}
 }
 

@@ -31,9 +31,9 @@ type metrics struct {
 }
 
 // newMetrics wires the counter set plus derived gauges: simulated cycle
-// totals from the process-wide core counter and a cumulative Mcycles/s
+// totals from the server's own meter and a cumulative Mcycles/s
 // throughput gauge since start.
-func newMetrics(start time.Time, cache *Cache) *metrics {
+func newMetrics(start time.Time, cache *Cache, meter *core.Meter) *metrics {
 	m := &metrics{vars: new(expvar.Map).Init()}
 	counter := func(name string) *expvar.Int {
 		v := new(expvar.Int)
@@ -57,14 +57,14 @@ func newMetrics(start time.Time, cache *Cache) *metrics {
 	m.vars.Set("cache_entries", expvar.Func(func() any { return cache.Len() }))
 	m.vars.Set("cache_bytes", expvar.Func(func() any { return cache.Bytes() }))
 	m.vars.Set("mcycles_simulated", expvar.Func(func() any {
-		return float64(core.CyclesSimulated()) / 1e6
+		return float64(meter.Cycles()) / 1e6
 	}))
 	m.vars.Set("mcycles_per_sec", expvar.Func(func() any {
 		secs := time.Since(start).Seconds()
 		if secs <= 0 {
 			return 0.0
 		}
-		return float64(core.CyclesSimulated()) / 1e6 / secs
+		return float64(meter.Cycles()) / 1e6 / secs
 	}))
 	return m
 }

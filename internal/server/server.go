@@ -83,6 +83,9 @@ type Server struct {
 	cache   *Cache
 	metrics *metrics
 	suites  *suitePool
+	// meter counts every cycle this server simulates: it rides on the
+	// request, eval and job contexts and backs mcycles_simulated.
+	meter *core.Meter
 	// arenas is shared by every sweep job and fleet lease the daemon
 	// serves: decoded workload memos and warm evaluation buffers survive
 	// from one job's batches to the next (and across a checkpoint-resumed
@@ -117,14 +120,15 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
 		cache:   NewCache(cfg.CacheBytes),
+		meter:   new(core.Meter),
 		arenas:  core.NewArenaPool(),
 		flights: make(map[string]*flight),
 		jobs:    make(map[string]*Job),
 		byFP:    make(map[string]*Job),
 		slots:   make(chan struct{}, cfg.MaxJobs),
 	}
-	s.metrics = newMetrics(time.Now(), s.cache)
-	s.lifeCtx, s.lifeCancel = context.WithCancel(context.Background())
+	s.metrics = newMetrics(time.Now(), s.cache, s.meter)
+	s.lifeCtx, s.lifeCancel = context.WithCancel(core.WithMeter(context.Background(), s.meter))
 	s.jobsCtx, s.jobsCancel = context.WithCancel(s.lifeCtx)
 	s.suites = newSuitePool(s.lifeCtx, cfg.Workers, 8)
 	s.evalGate = newGate(cfg.MaxEvals)
@@ -145,11 +149,17 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// ServeHTTP routes the request, counting it.
+// ServeHTTP routes the request, counting it. Whatever the request
+// simulates (a fleet lease runs on its context) counts on the server's
+// meter.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests.Add(1)
-	s.mux.ServeHTTP(w, r)
+	s.mux.ServeHTTP(w, r.WithContext(core.WithMeter(r.Context(), s.meter)))
 }
+
+// CyclesSimulated returns the cycles this server has simulated so far —
+// the mcycles_simulated gauge, in cycles.
+func (s *Server) CyclesSimulated() uint64 { return s.meter.Cycles() }
 
 // Drain stops accepting work and waits for every accepted job and eval to
 // reach a terminal state, or for ctx to expire. With CheckpointDir set,

@@ -14,8 +14,9 @@
 # benchmark output: ns/op, B/op, allocs/op and custom ReportMetric units.
 #
 # Snapshot mode renders the parsed output as the JSON kept in the repo's
-# BENCH_<date>.json files (benchmark → {metric: value}); commit a fresh one
-# whenever a deliberate performance change moves the numbers:
+# BENCH_<date>.json files (benchmark → {metric: value}), stamped with the
+# host's CPU model and GOMAXPROCS; commit a fresh one whenever a deliberate
+# performance change moves the numbers:
 #
 #	scripts/benchdiff.sh -snapshot bench_new.txt > BENCH_$(date +%F).json
 #
@@ -72,9 +73,18 @@ unparse() {
 	}' "$1"
 }
 
+# snapshot_json FILE — render FILE's benchmarks as a snapshot stamped with
+# the host it ran on: the CPU model go test printed and GOMAXPROCS (the
+# -N suffix of the benchmark names; absent means 1).
 snapshot_json() {
-	parse "$1" | sort | awk -v date="$(date +%Y-%m-%d)" '
-	BEGIN { printf "{\n  \"generated\": \"%s\",\n  \"benchmarks\": {\n", date }
+	cpu=$(sed -n 's/^cpu: //p' "$1" | head -n 1)
+	procs=$(awk '/^Benchmark/ && match($1, /-[0-9]+$/) { print substr($1, RSTART + 1); exit }' "$1")
+	parse "$1" | sort | awk -v date="$(date +%Y-%m-%d)" -v cpu="$cpu" -v procs="${procs:-1}" '
+	BEGIN {
+		printf "{\n  \"generated\": \"%s\",\n", date
+		printf "  \"host\": {\"cpu\": \"%s\", \"gomaxprocs\": %s},\n", cpu, procs
+		printf "  \"benchmarks\": {\n"
+	}
 	{
 		if ($1 != name) {
 			if (name != "") printf "},\n"
