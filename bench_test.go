@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"softerror/internal/cache"
 	"softerror/internal/core"
 	"softerror/internal/fault"
 	"softerror/internal/pipeline"
@@ -69,13 +70,15 @@ func BenchmarkSuitePrewarm(b *testing.B) {
 }
 
 // BenchmarkPipelineHotLoop measures the cycle loop itself on the paper's
-// most squash-heavy point (mcf under squash-on-L1-miss), across the three
-// execution modes: the reference single-step interpreter with a recorded
-// trace (the pre-optimisation hot loop), event-horizon fast-forwarding with
-// a recorded trace, and fast-forwarding with residencies streamed to no
-// sink at all. All three produce identical results (pinned by
-// TestCycleSkipDifferential and the ace stream tests); only the cost
-// differs. Reports simulated Mcycles/s alongside allocs/op.
+// most squash-heavy point (mcf under squash-on-L1-miss), 100k commits per
+// op. The lane rows run the production engine — a one-lane batch with no
+// sink — on the in-order and out-of-order families, over a stream decoded
+// once up front and a hierarchy re-stamped warm per op, so they time the
+// cycle loop alone. The reference-materialized row runs the stepping
+// reference interpreter recording a trace, generation and warm-up
+// included, pinning the cost of the differential checks' oracle. Lane and
+// reference traces are identical (TestCycleSkipDifferential); only the
+// cost differs. Reports simulated Mcycles/s alongside allocs/op.
 func BenchmarkPipelineHotLoop(b *testing.B) {
 	bench, ok := spec.ByName("mcf")
 	if !ok {
@@ -84,42 +87,54 @@ func BenchmarkPipelineHotLoop(b *testing.B) {
 	cfg := pipeline.DefaultConfig()
 	cfg.SquashTrigger = pipeline.TriggerL1Miss
 	const commits = 100_000
-	run := func(b *testing.B, cfg pipeline.Config, record bool) {
+	run := func(b *testing.B, once func() uint64) {
 		b.ReportAllocs()
 		var cycles uint64
 		for i := 0; i < b.N; i++ {
-			p := pipeline.MustNew(cfg, workload.MustNew(bench.Params), workload.WarmedDefault())
-			if record {
-				cycles += p.Run(commits, true).Cycles
-			} else {
-				st, err := p.RunStream(context.Background(), commits, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += st.Cycles
-			}
+			cycles += once()
 		}
 		b.ReportMetric(float64(cycles)/1e6/b.Elapsed().Seconds(), "Mcycles/s")
 	}
-	single := cfg
-	single.SingleStep = true
+	lane := func(b *testing.B, cfg pipeline.Config) {
+		sh, err := workload.NewShared(bench.Params)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mems := []*cache.Hierarchy{nil}
+		var arena pipeline.BatchArena
+		once := func() uint64 {
+			mems[0] = workload.WarmedInto(mems[0])
+			stats, err := pipeline.RunBatchStreamArena(context.Background(), commits, sh,
+				[]pipeline.Config{cfg}, mems, []pipeline.BatchSink{nil}, &arena)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return stats[0].Cycles
+		}
+		once() // decode the stream and shape the hierarchy and arena
+		b.ResetTimer()
+		run(b, once)
+	}
 	ooo := cfg
 	ooo.OutOfOrder = true
-	b.Run("singlestep-materialized", func(b *testing.B) { run(b, single, true) })
-	b.Run("fastforward-materialized", func(b *testing.B) { run(b, cfg, true) })
-	b.Run("fastforward-stream", func(b *testing.B) { run(b, cfg, false) })
-	// The out-of-order family on the same streaming path: ROB, LSQ and TAGE
-	// machinery active, residencies folded into the collectors' integrals.
-	b.Run("ooo", func(b *testing.B) { run(b, ooo, false) })
+	b.Run("lane", func(b *testing.B) { lane(b, cfg) })
+	b.Run("lane-ooo", func(b *testing.B) { lane(b, ooo) })
+	b.Run("reference-materialized", func(b *testing.B) {
+		run(b, func() uint64 {
+			p := pipeline.MustNew(cfg, workload.MustNew(bench.Params), workload.WarmedDefault())
+			return p.Run(commits, true).Cycles
+		})
+	})
 }
 
 // BenchmarkBatchedSweep measures the batched evaluation path on the
 // paper's squash-heaviest point: one sweep column (mcf under squash-on-L1,
-// eight IQ/store-buffer variants) evaluated per-cell — one full simulation
-// per configuration, the pre-batching sweep loop — and batched — one
-// decode of the instruction stream feeding all eight compact lanes
-// (core.RunBatchContext). Both paths produce byte-identical Results (the
-// batched-independent seraudit check pins this); only the cost differs.
+// sixteen IQ/store-buffer variants) evaluated per-cell — one core.RunContext
+// per configuration, each a one-lane batch with its own decode, warm-up and
+// analysis on a fresh arena — and batched — one decode of the instruction
+// stream feeding all sixteen compact lanes (core.RunBatchContext). Both
+// paths produce byte-identical Results (the batched-independent seraudit
+// check pins this); only the cost differs.
 // Reports simulated Mcycles/s summed across the column and the wall-clock
 // speedup.
 func BenchmarkBatchedSweep(b *testing.B) {
@@ -172,7 +187,7 @@ func BenchmarkBatchedSweep(b *testing.B) {
 		})
 	})
 	// The same batched column with the out-of-order family in every lane:
-	// one decode still drives all eight lanes, each additionally carrying a
+	// one decode still drives all sixteen lanes, each additionally carrying a
 	// ROB, an LSQ and the TAGE predictor.
 	oooSpecs := batchedSweepColumn()
 	for i := range oooSpecs {
@@ -214,10 +229,10 @@ func batchedSweepColumn() []core.BatchSpec {
 }
 
 // BenchmarkPrewarmCellAllocs measures the allocation footprint of one
-// evaluation cell — the unit Suite.Prewarm fans out 26×3 of — on the
-// streaming path the suite now uses versus materialising the trace first.
-// -benchmem's B/op column is the headline: streaming folds residencies into
-// the AVF integrals as their intervals close instead of buffering them.
+// evaluation cell — the unit Suite.Prewarm fans out 26×3 of — as the suite
+// runs it versus with a trace recorder beside the collector (KeepTrace).
+// -benchmem's B/op column is the headline: the collector folds residencies
+// into the AVF integrals as their intervals close instead of buffering them.
 func BenchmarkPrewarmCellAllocs(b *testing.B) {
 	bench, ok := spec.ByName("mcf")
 	if !ok {

@@ -1,7 +1,8 @@
 // Command seraudit sweeps the repository's invariant checks across
 // randomised seeds: every structural property the reproduction's numbers
-// rest on — residency conservation, fast-path ≡ single-step, stream ≡
-// batch, batched K-config ≡ K independent runs, -j 1 ≡ -j N, kill/resume
+// rest on — residency conservation, production lane ≡ reference
+// interpreter, batch collector ≡ trace analysis, batched K-config ≡ K
+// independent runs, -j 1 ≡ -j N, kill/resume
 // identity, strike-partition merge exactness, trace save/load round-trip,
 // content-address injectivity, cache byte-identity, job-lifecycle
 // monotonicity, fleet ≡ local byte-identity under injected worker chaos —

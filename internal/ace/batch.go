@@ -1,7 +1,7 @@
 package ace
 
 import (
-	"fmt"
+	"errors"
 	"math/bits"
 
 	"softerror/internal/isa"
@@ -20,9 +20,11 @@ import (
 // every deferred charge by body index, which both skips instruction
 // reconstruction on the hot path and lets Finish settle charges by direct
 // indexing. All charges flow through the same Report.addRead/addNeverRead/
-// SBReport.add/LSQReport.add helpers as the solo Collector, so the finished
-// reports are byte-identical to K independent runs — the
-// batched-independent seraudit check pins exactly that.
+// SBReport.add/LSQReport.add helpers as the trace analyses (avf.go, ooo.go),
+// which integrate per residency over a full-log AnalyzeDeadness and serve
+// as the independent oracle: the stream-batch seraudit check pins a lane's
+// reports against them on a reference-interpreter trace, and
+// batched-independent pins K lanes against K one-lane runs.
 
 // bodyPrefixer is the optional fast path for obtaining the shared commit
 // log as a slice; workload.Shared implements it.
@@ -149,9 +151,9 @@ type commitRec struct {
 	seq, wait, linger uint64
 }
 
-// BatchCollector folds one lane's compact events into ACE reports. It is
-// the BatchSink counterpart of Collector: same charges, same helpers, no
-// isa.Inst reconstruction anywhere on the event path.
+// BatchCollector folds one lane's compact events into ACE reports, with no
+// isa.Inst reconstruction anywhere on the event path. It is the only
+// production collector: a single run is a one-lane batch.
 type BatchCollector struct {
 	cfg   CollectorConfig
 	group *BatchGroup
@@ -168,6 +170,9 @@ type BatchCollector struct {
 	sbOcc   []uint64
 	robWait []uint64
 	lsqOcc  []uint64
+	// issue is each committed position's issue cycle, kept only for the
+	// RegFile analysis.
+	issue []uint64
 
 	iq  Report
 	fe  Report
@@ -186,8 +191,8 @@ type BatchCollector struct {
 }
 
 // NewBatchCollector builds one lane's collector over the batch's shared
-// group. The RegFile analysis needs per-commit cycle retention that the
-// batched path does not carry; request it through the solo path.
+// group, with the analyses cfg enables. RegFile additionally keeps one
+// issue cycle per body position; with it off nothing extra is stored.
 func NewBatchCollector(cfg CollectorConfig, group *BatchGroup) (*BatchCollector, error) {
 	c := &BatchCollector{}
 	if err := c.Reset(cfg, group); err != nil {
@@ -204,8 +209,8 @@ func NewBatchCollector(cfg CollectorConfig, group *BatchGroup) (*BatchCollector,
 // starts a new batch on the group: all of a batch's collectors are armed
 // before its first Finish.
 func (c *BatchCollector) Reset(cfg CollectorConfig, group *BatchGroup) error {
-	if cfg.RegFile {
-		return fmt.Errorf("ace: the RegFile analysis is not available on the batched path")
+	if group == nil {
+		return errors.New("ace: collector needs a batch group")
 	}
 	c.cfg, c.group = cfg, group
 	group.end = 0
@@ -227,6 +232,7 @@ func (c *BatchCollector) Reset(cfg CollectorConfig, group *BatchGroup) error {
 	c.sbOcc = charges(c.sbOcc, cfg.StoreBuffer, want)
 	c.robWait = charges(c.robWait, cfg.ROBSize > 0, want)
 	c.lsqOcc = charges(c.lsqOcc, cfg.LSQSize > 0, want)
+	c.issue = charges(c.issue, cfg.RegFile, want)
 	c.n, c.commits = 0, 0
 	c.iq, c.fe, c.sb = Report{}, Report{}, SBReport{}
 	c.rob, c.lsq = Report{}, LSQReport{}
@@ -252,7 +258,7 @@ func charges(buf []uint64, on bool, n int) []uint64 {
 func (c *BatchCollector) grow(body int) {
 	c.recs = append(c.recs, make([]commitRec, body+16-len(c.recs))...)
 	c.bits = append(c.bits, make([]uint64, (len(c.recs)+63)/64-len(c.bits))...)
-	for _, a := range [...]*[]uint64{&c.feWait, &c.sbOcc, &c.robWait, &c.lsqOcc} {
+	for _, a := range [...]*[]uint64{&c.feWait, &c.sbOcc, &c.robWait, &c.lsqOcc, &c.issue} {
 		if len(*a) > 0 {
 			*a = append(*a, make([]uint64, len(c.recs)-len(*a))...)
 		}
@@ -271,6 +277,9 @@ func (c *BatchCollector) BatchCommit(ref pipeline.BatchRef, seq, enq, issue uint
 	}
 	c.recs[body].seq = seq
 	c.recs[body].wait = issue - enq
+	if len(c.issue) > 0 {
+		c.issue[body] = issue
+	}
 	c.bits[body>>6] |= 1 << (uint(body) & 63)
 	c.commits++
 	if body >= c.n {
@@ -311,7 +320,7 @@ func (c *BatchCollector) BatchResidency(ref pipeline.BatchRef, seq, enq, issue, 
 	// closes its interval at t+1 or later), so the body's record exists and
 	// the linger parks next to the wait for one fused addRead in Finish.
 	// addRead charges linger category-independently (ExACEBC only), so the
-	// fused call is bit-identical to the solo Collector's split charges.
+	// fused call is bit-identical to the trace analysis's split charges.
 	if body := ref.Body(); body < c.n {
 		c.recs[body].linger += linger
 	} else {
@@ -557,7 +566,30 @@ func (c *BatchCollector) Finish(cycles uint64) *Reports {
 		lsq := c.lsq
 		out.LSQ = &lsq
 	}
+	if c.cfg.RegFile {
+		out.RegFile = c.regFile(cycles, dead)
+	}
 	return out
+}
+
+// regFile runs the register-file analysis over the lane's commit log —
+// its committed body positions in program order, each at its issue cycle
+// and classified by the lane's deadness, whose categories are in the same
+// order. A dense lane's log is the shared body prefix itself; only a holed
+// one is compacted into a copy.
+func (c *BatchCollector) regFile(cycles uint64, dead *Deadness) *RegFileReport {
+	if c.commits == c.n {
+		return analyzeRegFileLog(c.group.commitLog(c.n), c.issue[:c.n], dead.cats, cycles)
+	}
+	log := make([]isa.Inst, 0, c.commits)
+	at := make([]uint64, 0, c.commits)
+	for i := 0; i < c.n; i++ {
+		if c.committed(i) {
+			log = append(log, *c.group.src.Body(i))
+			at = append(at, c.issue[i])
+		}
+	}
+	return analyzeRegFileLog(log, at, dead.cats, cycles)
 }
 
 // charged reports whether body position i carries any deferred charge.

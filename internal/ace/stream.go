@@ -1,15 +1,10 @@
 package ace
 
-import (
-	"sort"
+import "softerror/internal/pipeline"
 
-	"softerror/internal/isa"
-	"softerror/internal/pipeline"
-)
-
-// CollectorConfig parameterises a streaming Collector: the geometry of the
+// CollectorConfig parameterises a BatchCollector: the geometry of the
 // structures under analysis plus which optional analyses to run. Geometry
-// must match the pipeline configuration that drives the stream —
+// must match the pipeline configuration that drives the lane —
 // StructureConfig derives it.
 type CollectorConfig struct {
 	IQSize         int
@@ -20,17 +15,18 @@ type CollectorConfig struct {
 	// ROB/LSQ events).
 	ROBSize int
 	LSQSize int
-	// Commits pre-sizes the commit log (0 if unknown).
+	// Commits pre-sizes the per-body-position records (0 if unknown).
 	Commits uint64
 
 	// FrontEnd, StoreBuffer and RegFile enable the corresponding extra
-	// analyses; each costs some per-event bookkeeping, so they are opt-in.
+	// analyses; each costs one per-body-position array and some per-event
+	// bookkeeping, so they are opt-in.
 	FrontEnd    bool
 	StoreBuffer bool
 	RegFile     bool
 }
 
-// StructureConfig derives a Collector's geometry from the pipeline
+// StructureConfig derives a collector's geometry from the pipeline
 // configuration that will drive it. The optional analyses start disabled.
 func StructureConfig(pcfg pipeline.Config, commits uint64) CollectorConfig {
 	cfg := CollectorConfig{
@@ -47,7 +43,7 @@ func StructureConfig(pcfg pipeline.Config, commits uint64) CollectorConfig {
 	return cfg
 }
 
-// Reports bundles the analyses a Collector produced from one stream. The
+// Reports bundles the analyses a collector produced from one lane. The
 // optional reports are nil unless enabled in the CollectorConfig.
 type Reports struct {
 	IQ          *Report
@@ -59,295 +55,4 @@ type Reports struct {
 	ROB  *Report
 	LSQ  *LSQReport
 	Dead *Deadness
-}
-
-// pendingRead is a read exposure whose deadness category is not yet known:
-// classification needs the full commit log, so it is deferred to Finish.
-type pendingRead struct {
-	seq       uint64
-	wait      uint64
-	hasDest   bool
-	isControl bool
-}
-
-// pendingOcc is a store-buffer occupancy awaiting its store's category.
-type pendingOcc struct {
-	seq uint64
-	occ uint64
-}
-
-// Collector is the streaming pipeline.Sink that folds residency events
-// into ACE reports as they close, without materialising a Trace.
-//
-// Interval classes whose category is static — never-read copies, wrong-path
-// reads, and the category-independent post-issue linger — are integrated
-// immediately. Correct-path read exposures depend on dynamic deadness,
-// which requires the complete commit log; the Collector therefore retains
-// exactly the committed stream (which the deadness analysis needs anyway)
-// plus one wait per commit, and settles those charges in Finish. Every
-// charge goes through the same Report.addNeverRead/addRead helpers as the
-// batch integrator, and all charges are commutative uint64 sums, so the
-// resulting reports are identical — not just statistically, but exactly —
-// to analysing a recorded Trace.
-type Collector struct {
-	cfg CollectorConfig
-
-	log          []isa.Inst
-	waits        []uint64 // pre-issue IQ wait per committed instruction
-	commitCycles []uint64 // issue cycles, kept only for the regfile pass
-
-	iq  Report
-	fe  Report
-	sb  SBReport
-	rob Report
-	lsq LSQReport
-
-	fePending  []pendingRead
-	sbPending  []pendingOcc
-	robPending []pendingRead
-	lsqPending []pendingOcc
-}
-
-// NewCollector builds a streaming collector. Pass it to
-// pipeline.RunStream, then call Finish with the run's cycle count.
-func NewCollector(cfg CollectorConfig) *Collector {
-	c := &Collector{cfg: cfg}
-	if cfg.Commits > 0 {
-		// A run overshoots its commit target by up to IssueWidth-1 commits
-		// (the final multi-issue cycle retires whole); the slack keeps the
-		// very last appends from reallocating the whole log.
-		n := cfg.Commits + 16
-		c.log = make([]isa.Inst, 0, n)
-		c.waits = make([]uint64, 0, n)
-		if cfg.RegFile {
-			c.commitCycles = make([]uint64, 0, n)
-		}
-	}
-	return c
-}
-
-// OnCommit implements pipeline.Sink.
-func (c *Collector) OnCommit(in isa.Inst, enq, issue uint64) {
-	c.log = append(c.log, in)
-	c.waits = append(c.waits, issue-enq)
-	if c.cfg.RegFile {
-		c.commitCycles = append(c.commitCycles, issue)
-	}
-}
-
-// OnResidency implements pipeline.Sink: one closed IQ interval.
-func (c *Collector) OnResidency(r pipeline.Residency) {
-	occ := r.Occupancy()
-	if occ == 0 {
-		return
-	}
-	if !r.Issued {
-		c.iq.addNeverRead(occ)
-		return
-	}
-	wait := r.Issue - r.Enq
-	linger := r.Evict - r.Issue
-	if r.Inst.WrongPath {
-		c.iq.addRead(wait, linger, CatWrongPath, r.Inst.Dest != isa.RegNone, r.Inst.Class.IsControl())
-		return
-	}
-	// Correct path: this entry committed, so its wait is already queued
-	// under its Seq (OnCommit) for classification in Finish; only the
-	// category-independent linger is charged here.
-	c.iq.addRead(0, linger, CatACE, false, false)
-}
-
-// OnFrontEnd implements pipeline.Sink: one closed fetch-buffer interval.
-func (c *Collector) OnFrontEnd(r pipeline.Residency) {
-	if !c.cfg.FrontEnd {
-		return
-	}
-	occ := r.Occupancy()
-	if occ == 0 {
-		return
-	}
-	if !r.Issued {
-		c.fe.addNeverRead(occ)
-		return
-	}
-	// Delivered to decode: the whole occupancy is pre-read exposure
-	// (delivery is the read point, so there is no linger).
-	wait := r.Issue - r.Enq
-	if r.Inst.WrongPath {
-		c.fe.addRead(wait, 0, CatWrongPath, r.Inst.Dest != isa.RegNone, r.Inst.Class.IsControl())
-		return
-	}
-	c.fePending = append(c.fePending, pendingRead{
-		seq:       r.Inst.Seq,
-		wait:      wait,
-		hasDest:   r.Inst.Dest != isa.RegNone,
-		isControl: r.Inst.Class.IsControl(),
-	})
-}
-
-// OnStoreBuffer implements pipeline.Sink: one drained (or run-end clipped)
-// store-buffer interval. Only issued correct-path stores reach the buffer,
-// so every interval's category resolves from the commit log in Finish.
-func (c *Collector) OnStoreBuffer(r pipeline.Residency) {
-	if !c.cfg.StoreBuffer {
-		return
-	}
-	occ := r.Occupancy()
-	if occ == 0 {
-		return
-	}
-	c.sbPending = append(c.sbPending, pendingOcc{seq: r.Inst.Seq, occ: occ})
-}
-
-// OnROB implements pipeline.OOOSink: one closed reorder-buffer interval.
-// Read entries (retired in order) are always correct-path, so their
-// category resolves from the commit log in Finish; unread entries were
-// flushed, squashed or clipped and are benign.
-func (c *Collector) OnROB(r pipeline.Residency) {
-	if c.cfg.ROBSize == 0 {
-		return
-	}
-	occ := r.Occupancy()
-	if occ == 0 {
-		return
-	}
-	if !r.Issued {
-		c.rob.addNeverRead(occ)
-		return
-	}
-	// Retire is the read point and the eviction (Issue == Evict): the whole
-	// occupancy is pre-read wait, with no post-read linger.
-	c.robPending = append(c.robPending, pendingRead{
-		seq:       r.Inst.Seq,
-		wait:      occ,
-		hasDest:   r.Inst.Dest != isa.RegNone,
-		isControl: r.Inst.Class.IsControl(),
-	})
-}
-
-// OnLSQ implements pipeline.OOOSink: one closed load/store-queue interval.
-// Read entries (retired loads and predicated-false stores, drained stores)
-// are always correct-path.
-func (c *Collector) OnLSQ(r pipeline.Residency) {
-	if c.cfg.LSQSize == 0 {
-		return
-	}
-	occ := r.Occupancy()
-	if occ == 0 {
-		return
-	}
-	if !r.Issued {
-		c.lsq.addNeverRead(occ)
-		return
-	}
-	c.lsqPending = append(c.lsqPending, pendingOcc{seq: r.Inst.Seq, occ: occ})
-}
-
-// Finish runs the deadness analysis over the collected commit log, settles
-// every deferred charge, and returns the reports. cycles is the run length
-// (Stats.Cycles). The Collector must not receive further events.
-func (c *Collector) Finish(cycles uint64) *Reports {
-	c.sortIfNeeded()
-	dead := AnalyzeDeadness(c.log)
-
-	// Settle the committed IQ waits. The log is in ascending-Seq order, so
-	// dead.cats is index-aligned with it (no lookups needed).
-	for i := range c.log {
-		in := &c.log[i]
-		c.iq.addRead(c.waits[i], 0, dead.cats[i], in.Dest != isa.RegNone, in.Class.IsControl())
-	}
-	c.iq.Cycles = cycles
-	c.iq.Entries = c.cfg.IQSize
-	c.iq.BitsPer = isa.EntryPayloadBits
-	c.iq.Dead = dead
-	c.iq.finalize()
-	out := &Reports{IQ: &c.iq, Dead: dead}
-
-	if c.cfg.FrontEnd {
-		for i := range c.fePending {
-			p := &c.fePending[i]
-			c.fe.addRead(p.wait, 0, dead.OfSeq(p.seq), p.hasDest, p.isControl)
-		}
-		c.fe.Cycles = cycles
-		c.fe.Entries = c.cfg.FrontEndCap
-		c.fe.BitsPer = isa.EntryPayloadBits
-		c.fe.Dead = dead
-		c.fe.finalize()
-		out.FrontEnd = &c.fe
-	}
-	if c.cfg.StoreBuffer {
-		for i := range c.sbPending {
-			p := &c.sbPending[i]
-			c.sb.add(p.occ, dead.OfSeq(p.seq))
-		}
-		c.sb.Cycles = cycles
-		c.sb.Entries = c.cfg.StoreBufferCap
-		c.sb.finalize()
-		out.StoreBuffer = &c.sb
-	}
-	if c.cfg.RegFile {
-		out.RegFile = analyzeRegFileLog(c.log, c.commitCycles, cycles, dead)
-	}
-	if c.cfg.ROBSize > 0 {
-		for i := range c.robPending {
-			p := &c.robPending[i]
-			c.rob.addRead(p.wait, 0, dead.OfSeq(p.seq), p.hasDest, p.isControl)
-		}
-		c.rob.Cycles = cycles
-		c.rob.Entries = c.cfg.ROBSize
-		c.rob.BitsPer = isa.EntryPayloadBits
-		c.rob.Dead = dead
-		c.rob.finalize()
-		out.ROB = &c.rob
-	}
-	if c.cfg.LSQSize > 0 {
-		for i := range c.lsqPending {
-			p := &c.lsqPending[i]
-			c.lsq.add(p.occ, dead.OfSeq(p.seq))
-		}
-		c.lsq.Cycles = cycles
-		c.lsq.Entries = c.cfg.LSQSize
-		c.lsq.finalize()
-		out.LSQ = &c.lsq
-	}
-	return out
-}
-
-// CommitLog returns the collected committed stream. After Finish it is in
-// program order (ascending Seq) — the order every downstream analysis
-// expects.
-func (c *Collector) CommitLog() []isa.Inst { return c.log }
-
-// sortIfNeeded restores program order to the commit log (and its parallel
-// arrays) after an out-of-order run appended commits in dataflow order.
-func (c *Collector) sortIfNeeded() {
-	sorted := true
-	for i := 1; i < len(c.log); i++ {
-		if c.log[i].Seq < c.log[i-1].Seq {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return
-	}
-	order := make([]int, len(c.log))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return c.log[order[a]].Seq < c.log[order[b]].Seq })
-	log := make([]isa.Inst, len(c.log))
-	waits := make([]uint64, len(c.waits))
-	for i, j := range order {
-		log[i] = c.log[j]
-		waits[i] = c.waits[j]
-	}
-	c.log, c.waits = log, waits
-	if c.commitCycles != nil {
-		cycles := make([]uint64, len(c.commitCycles))
-		for i, j := range order {
-			cycles[i] = c.commitCycles[j]
-		}
-		c.commitCycles = cycles
-	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"softerror/internal/ace"
@@ -11,9 +12,7 @@ import (
 )
 
 // BatchSpec is one lane of a batched evaluation: a pipeline configuration
-// plus the lane's optional extra analyses. The RegFile analysis is not
-// available on the batched path (it needs per-commit cycle retention only
-// the solo Collector carries); route such runs through RunContext.
+// plus the lane's optional extra analyses.
 type BatchSpec struct {
 	Pipeline    pipeline.Config
 	FrontEnd    bool
@@ -27,10 +26,9 @@ type BatchSpec struct {
 // returned Result is byte-identical to RunContext under the same spec —
 // the batched-independent seraudit check pins this.
 //
-// Workloads whose stream cannot be shared (PC-indexed branch predictors)
-// fail with an error wrapping workload.ErrUnshareable; callers fall back
-// to per-spec RunContext. Caches are always pre-warmed (the batched path
-// serves sweeps and suites, which never skip warming).
+// Workloads whose stream cannot be shared (PC-indexed branch predictors,
+// workload.ErrUnshareable) run each spec on the reference interpreter
+// instead, with the same Results. Caches are always pre-warmed.
 func RunBatchContext(ctx context.Context, w workload.Params, commits uint64, specs []BatchSpec) ([]*Result, error) {
 	a := defaultArenas.Get()
 	defer defaultArenas.Put(a)
@@ -47,13 +45,40 @@ func RunBatchArena(ctx context.Context, a *Arena, w workload.Params, commits uin
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
 	}
+	lanes := make([]Config, len(specs))
+	for i, sp := range specs {
+		lanes[i] = Config{Pipeline: sp.Pipeline, FrontEnd: sp.FrontEnd, StoreBuffer: sp.StoreBuffer}
+	}
+	return runLanes(ctx, a, w, commits, lanes)
+}
+
+// runLanes evaluates one lane per Config over one decode of w — the path
+// RunBatchArena and RunContext share. Each Config contributes only its
+// per-lane fields: Pipeline, the optional analyses, KeepTrace and Sink.
+func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, lanes []Config) ([]*Result, error) {
 	if a == nil {
 		a = NewArena()
 	}
 	if commits == 0 {
 		commits = DefaultCommits
 	}
+	cfgs := make([]pipeline.Config, len(lanes))
+	for i := range lanes {
+		cfgs[i] = lanes[i].Pipeline
+		if cfgs[i] == (pipeline.Config{}) {
+			cfgs[i] = pipeline.DefaultConfig()
+		}
+	}
 	sh, group, err := a.stream(w)
+	if errors.Is(err, workload.ErrUnshareable) {
+		out := make([]*Result, len(lanes))
+		for i := range lanes {
+			if out[i], err = referenceRun(ctx, w, commits, cfgs[i], &lanes[i]); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -68,26 +93,31 @@ func RunBatchArena(ctx context.Context, a *Arena, w workload.Params, commits uin
 	// bit-identical to a fresh warm clone (pinned by the cache clone
 	// tests), and a memcpy of the warm state is far cheaper than
 	// re-simulating the warm-up K times.
-	zero := pipeline.Config{}
-	cfgs := make([]pipeline.Config, len(specs))
-	mems := make([]*cache.Hierarchy, len(specs))
-	sinks := make([]pipeline.BatchSink, len(specs))
-	colls := make([]*ace.BatchCollector, len(specs))
-	for i, sp := range specs {
-		cfg := sp.Pipeline
-		if cfg == zero {
-			cfg = pipeline.DefaultConfig()
-		}
-		cfgs[i] = cfg
+	mems := make([]*cache.Hierarchy, len(lanes))
+	sinks := make([]pipeline.BatchSink, len(lanes))
+	colls := make([]*ace.BatchCollector, len(lanes))
+	var recs []*pipeline.TraceRecorder
+	for i := range lanes {
+		ln := &lanes[i]
 		mems[i] = a.warmHierarchy()
-		ccfg := ace.StructureConfig(cfg, commits)
-		ccfg.FrontEnd, ccfg.StoreBuffer = sp.FrontEnd, sp.StoreBuffer
+		ccfg := ace.StructureConfig(cfgs[i], commits)
+		ccfg.FrontEnd, ccfg.StoreBuffer, ccfg.RegFile = ln.FrontEnd, ln.StoreBuffer, ln.RegFile
 		coll, err := a.collector(ccfg, group)
 		if err != nil {
 			return nil, err
 		}
 		colls[i] = coll
 		sinks[i] = coll
+		if ln.KeepTrace {
+			if recs == nil {
+				recs = make([]*pipeline.TraceRecorder, len(lanes))
+			}
+			recs[i] = pipeline.NewTraceRecorder(cfgs[i], commits)
+			sinks[i] = pipeline.Beside(sh, sinks[i], recs[i])
+		}
+		if ln.Sink != nil {
+			sinks[i] = pipeline.Beside(sh, sinks[i], ln.Sink)
+		}
 	}
 
 	stats, err := pipeline.RunBatchStreamArena(ctx, commits, sh, cfgs, mems, sinks, &a.pipe)
@@ -95,30 +125,80 @@ func RunBatchArena(ctx context.Context, a *Arena, w workload.Params, commits uin
 		return nil, err
 	}
 
-	out := make([]*Result, len(specs))
-	for i := range specs {
+	out := make([]*Result, len(lanes))
+	for i := range lanes {
 		st := stats[i]
-		reps := colls[i].Finish(st.Cycles)
+		out[i] = resultOf(w.Name, cfgs[i], st, colls[i].Finish(st.Cycles))
+		if recs != nil && recs[i] != nil {
+			out[i].Trace = recs[i].Trace(st)
+		}
 		a.putCollector(colls[i])
 		a.putHierarchy(mems[i])
 		meterCycles(ctx, st.Cycles)
-		out[i] = &Result{
-			Name:              w.Name,
-			IPC:               st.IPC(),
-			Report:            reps.IQ,
-			Cycles:            st.Cycles,
-			Commits:           st.Commits,
-			Squashes:          st.Squashes,
-			Refetches:         st.Refetches,
-			ThrottleEvents:    st.ThrottleEvents,
-			LoadMissRateL0:    st.LoadMissRate(cache.LevelL0),
-			LoadMissRateL1:    st.LoadMissRate(cache.LevelL1),
-			FrontEndReport:    reps.FrontEnd,
-			StoreBufferReport: reps.StoreBuffer,
-			ROBReport:         reps.ROB,
-			LSQReport:         reps.LSQ,
-			TAGEReport:        tageReport(cfgs[i], st),
-		}
 	}
 	return out, nil
+}
+
+// referenceRun evaluates one lane on the reference interpreter — the path
+// for streams no lanes can share (workload.ErrUnshareable). It records the
+// trace, feeds the lane's Sink beside the recorder, and integrates the
+// trace with the trace analyses, honouring every per-lane option.
+func referenceRun(ctx context.Context, w workload.Params, commits uint64, cfg pipeline.Config, ln *Config) (*Result, error) {
+	gen, err := workload.New(w)
+	if err != nil {
+		return nil, err
+	}
+	pipe, err := pipeline.New(cfg, gen, workload.WarmedDefault())
+	if err != nil {
+		return nil, err
+	}
+	rec := pipeline.NewTraceRecorder(cfg, commits)
+	st, err := pipe.RunStream(ctx, commits, pipeline.Tee(rec, ln.Sink))
+	if err != nil {
+		return nil, err
+	}
+	tr := rec.Trace(st)
+	iq := ace.Analyze(tr)
+	reps := &ace.Reports{IQ: iq, Dead: iq.Dead}
+	if ln.FrontEnd {
+		reps.FrontEnd = ace.AnalyzeFrontEnd(tr, iq.Dead)
+	}
+	if ln.StoreBuffer {
+		reps.StoreBuffer = ace.AnalyzeStoreBuffer(tr, iq.Dead)
+	}
+	if ln.RegFile {
+		reps.RegFile = ace.AnalyzeRegFile(tr, iq.Dead)
+	}
+	if cfg.OutOfOrder {
+		reps.ROB = ace.AnalyzeROB(tr, iq.Dead)
+		reps.LSQ = ace.AnalyzeLSQ(tr, iq.Dead)
+	}
+	res := resultOf(w.Name, cfg, st, reps)
+	if ln.KeepTrace {
+		res.Trace = tr
+	}
+	meterCycles(ctx, st.Cycles)
+	return res, nil
+}
+
+// resultOf distils one lane's stats and reports into a Result.
+func resultOf(name string, cfg pipeline.Config, st pipeline.Stats, reps *ace.Reports) *Result {
+	return &Result{
+		Name:              name,
+		IPC:               st.IPC(),
+		Report:            reps.IQ,
+		Cycles:            st.Cycles,
+		Commits:           st.Commits,
+		Squashes:          st.Squashes,
+		Refetches:         st.Refetches,
+		ThrottleEvents:    st.ThrottleEvents,
+		LoadMissRateL0:    st.LoadMissRate(cache.LevelL0),
+		LoadMissRateL1:    st.LoadMissRate(cache.LevelL1),
+		RegFile:           reps.RegFile,
+		FrontEndReport:    reps.FrontEnd,
+		StoreBufferReport: reps.StoreBuffer,
+		ROBReport:         reps.ROB,
+		LSQReport:         reps.LSQ,
+		TAGEReport:        tageReport(cfg, st),
+	}
 }

@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"testing"
 
+	"softerror/internal/ace"
 	"softerror/internal/cache"
+	"softerror/internal/isa"
 	"softerror/internal/pipeline"
 	"softerror/internal/spec"
 	"softerror/internal/workload"
@@ -38,7 +40,7 @@ func TestRunBatchMatchesIndependentRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sp := range specs {
-		solo, err := RunContext(context.Background(), Config{
+		one, err := RunContext(context.Background(), Config{
 			Workload:    b.Params,
 			Pipeline:    sp.Pipeline,
 			Commits:     commits,
@@ -48,24 +50,77 @@ func TestRunBatchMatchesIndependentRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(solo, batched[i]) {
-			t.Fatalf("lane %d diverges from solo run:\n solo    IPC=%.6f SDC=%.6f cycles=%d\n batched IPC=%.6f SDC=%.6f cycles=%d",
-				i, solo.IPC, solo.Report.SDCAVF(), solo.Cycles,
+		if !reflect.DeepEqual(one, batched[i]) {
+			t.Fatalf("lane %d diverges from its one-lane run:\n one-lane IPC=%.6f SDC=%.6f cycles=%d\n batched  IPC=%.6f SDC=%.6f cycles=%d",
+				i, one.IPC, one.Report.SDCAVF(), one.Cycles,
 				batched[i].IPC, batched[i].Report.SDCAVF(), batched[i].Cycles)
 		}
 	}
 }
 
-// TestRunBatchUnshareableFallsThrough pins the typed fallback: a workload
-// with a PC-indexed predictor reports ErrUnshareable so callers can route
-// each spec through the solo path.
+// oracleResult is the Result the trace analyses derive from the reference
+// interpreter's recorded trace of one spec — independent of both the
+// production engine and its collector.
+func oracleResult(t *testing.T, w workload.Params, commits uint64, sp BatchSpec) *Result {
+	t.Helper()
+	gen, err := workload.New(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := pipeline.MustNew(sp.Pipeline, gen, workload.WarmedDefault()).Run(commits, true)
+	iq := ace.Analyze(tr)
+	res := &Result{
+		Name:           w.Name,
+		IPC:            tr.IPC(),
+		Report:         iq,
+		Cycles:         tr.Cycles,
+		Commits:        tr.Commits,
+		Squashes:       tr.Squashes,
+		Refetches:      tr.Refetches,
+		ThrottleEvents: tr.ThrottleEvents,
+		LoadMissRateL0: tr.LoadMissRate(cache.LevelL0),
+		LoadMissRateL1: tr.LoadMissRate(cache.LevelL1),
+	}
+	if sp.FrontEnd {
+		res.FrontEndReport = ace.AnalyzeFrontEnd(tr, iq.Dead)
+	}
+	if sp.StoreBuffer {
+		res.StoreBufferReport = ace.AnalyzeStoreBuffer(tr, iq.Dead)
+	}
+	if sp.Pipeline.OutOfOrder {
+		res.ROBReport = ace.AnalyzeROB(tr, iq.Dead)
+		res.LSQReport = ace.AnalyzeLSQ(tr, iq.Dead)
+		res.TAGEReport = ace.AnalyzeTAGE(tr)
+	}
+	return res
+}
+
+// TestRunBatchUnshareableFallsThrough pins the one fallback: a workload
+// with a PC-indexed predictor cannot share its stream, so the batch runs
+// each spec on the reference interpreter — and still succeeds, every lane
+// equal to the trace analyses of that spec's reference trace.
 func TestRunBatchUnshareableFallsThrough(t *testing.T) {
 	p := workload.Default()
 	p.BranchPredictor = "gshare"
-	_, err := RunBatchContext(context.Background(), p, 1000,
-		[]BatchSpec{{Pipeline: pipeline.DefaultConfig()}})
-	if !errors.Is(err, workload.ErrUnshareable) {
-		t.Fatalf("gshare batch = %v, want ErrUnshareable", err)
+	if _, err := workload.NewShared(p); !errors.Is(err, workload.ErrUnshareable) {
+		t.Fatalf("gshare stream = %v, want ErrUnshareable", err)
+	}
+	const commits = 3000
+	ooo := pipeline.DefaultConfig()
+	ooo.OutOfOrder = true
+	ooo.SquashTrigger = pipeline.TriggerL1Miss
+	specs := []BatchSpec{
+		{Pipeline: pipeline.DefaultConfig(), FrontEnd: true, StoreBuffer: true},
+		{Pipeline: ooo, StoreBuffer: true},
+	}
+	got, err := RunBatchContext(context.Background(), p, commits, specs)
+	if err != nil {
+		t.Fatalf("gshare batch: %v", err)
+	}
+	for i, sp := range specs {
+		if want := oracleResult(t, p, commits, sp); !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("lane %d diverges from its reference-path result", i)
+		}
 	}
 }
 
@@ -84,7 +139,7 @@ func (h *holeSink) BatchStoreBuffer(pipeline.BatchRef, uint64, uint64, uint64)  
 
 // TestRunBatchHoledOOOMatchesSolo pins the tail patch end to end: in a
 // small-commit out-of-order batch with at least one holed lane, every
-// lane's Result equals a solo run.
+// lane's Result equals the trace analyses of its spec's reference trace.
 func TestRunBatchHoledOOOMatchesSolo(t *testing.T) {
 	b, ok := spec.ByName("bzip2-source")
 	if !ok {
@@ -132,18 +187,61 @@ func TestRunBatchHoledOOOMatchesSolo(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sp := range specs {
-		solo, err := RunContext(context.Background(), Config{
-			Workload:    b.Params,
-			Pipeline:    sp.Pipeline,
-			Commits:     commits,
-			FrontEnd:    sp.FrontEnd,
-			StoreBuffer: sp.StoreBuffer,
+		if want := oracleResult(t, b.Params, commits, sp); !reflect.DeepEqual(want, batched[i]) {
+			t.Fatalf("lane %d (holed: %v) diverges from its reference trace's analyses",
+				i, holes[i].commits < holes[i].end)
+		}
+	}
+}
+
+// countSink counts the plain-sink events a run delivers.
+type countSink struct{ residencies, commits uint64 }
+
+func (c *countSink) OnResidency(pipeline.Residency)    { c.residencies++ }
+func (c *countSink) OnFrontEnd(pipeline.Residency)     {}
+func (c *countSink) OnStoreBuffer(pipeline.Residency)  {}
+func (c *countSink) OnCommit(isa.Inst, uint64, uint64) { c.commits++ }
+
+// TestRunContextHonoursOptions pins RunContext's per-run options on both
+// of its paths — the one-lane batch and, for an unshareable stream, the
+// reference interpreter: KeepTrace returns the reference interpreter's
+// trace, RegFile the register-file analysis of that trace, and Sink sees
+// every residency and commit of the run.
+func TestRunContextHonoursOptions(t *testing.T) {
+	for _, bp := range []string{"", "gshare"} {
+		t.Run("predictor="+bp, func(t *testing.T) {
+			p := workload.Default()
+			p.BranchPredictor = bp
+			const commits = 3000
+			cfg := pipeline.DefaultConfig()
+			cfg.SquashTrigger = pipeline.TriggerL1Miss
+			sink := &countSink{}
+			res, err := RunContext(context.Background(), Config{
+				Workload: p, Pipeline: cfg, Commits: commits,
+				KeepTrace: true, RegFile: true, FrontEnd: true, Sink: sink,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, err := workload.New(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := pipeline.MustNew(cfg, gen, workload.WarmedDefault()).Run(commits, true)
+			if !reflect.DeepEqual(res.Trace, tr) {
+				t.Fatal("KeepTrace trace differs from the reference interpreter's")
+			}
+			dead := ace.AnalyzeDeadness(tr.CommitLog)
+			if want := ace.AnalyzeRegFile(tr, dead); !reflect.DeepEqual(res.RegFile, want) {
+				t.Errorf("RegFile report differs:\n got %+v\nwant %+v", res.RegFile, want)
+			}
+			if want := ace.AnalyzeFrontEnd(tr, dead); !reflect.DeepEqual(res.FrontEndReport, want) {
+				t.Error("front-end report differs from the trace analysis")
+			}
+			if sink.commits != tr.Commits || sink.residencies != uint64(len(tr.Residencies)) {
+				t.Errorf("sink saw %d commits, %d residencies; trace has %d, %d",
+					sink.commits, sink.residencies, tr.Commits, len(tr.Residencies))
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(solo, batched[i]) {
-			t.Fatalf("lane %d (holed: %v) diverges from its solo run", i, holes[i].commits < holes[i].end)
-		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"softerror/internal/ace"
-	"softerror/internal/cache"
 	"softerror/internal/pipeline"
 	"softerror/internal/workload"
 )
@@ -109,27 +108,26 @@ type Config struct {
 	// one thousandth of the paper's SimPoint length, enough for the AVF
 	// integrals to stabilise on a laptop-scale run).
 	Commits uint64
-	// SkipWarm skips pre-warming the cache hierarchy. The paper measures
-	// slices after skipping billions of instructions, so warm caches are
-	// the faithful default.
-	SkipWarm bool
 	// KeepTrace retains the full pipeline trace (residencies and commit
-	// log) on the Result, as needed for fault-injection campaigns. Off by
-	// default: without it the run streams residencies straight into the
-	// AVF integrals and never materialises a trace.
+	// log) on the Result, as needed for fault-injection campaigns: a
+	// pipeline.TraceRecorder rides beside the lane's collector. Off by
+	// default: without it residencies fold straight into the AVF integrals
+	// and no trace is materialised. The reports come from the collector
+	// either way.
 	KeepTrace bool
 	// RegFile additionally computes the architectural register files'
 	// vulnerability report (the paper's closing "other structures"
-	// extension).
+	// extension); the collector then keeps one issue cycle per commit.
 	RegFile bool
 	// FrontEnd and StoreBuffer additionally compute the fetch buffer's and
 	// store buffer's vulnerability reports (§4.2's front-end structures and
 	// the conclusion's "other structures").
 	FrontEnd    bool
 	StoreBuffer bool
-	// Sink, when non-nil, is teed into the pipeline's event stream on the
-	// streaming path (KeepTrace false) — e.g. a fault.StreamRecorder that
-	// retains just the intervals an injection campaign samples.
+	// Sink, when non-nil, receives the run's event stream beside the
+	// collector, with each instruction reconstructed — e.g. a
+	// fault.StreamRecorder that retains just the intervals an injection
+	// campaign samples.
 	Sink pipeline.Sink
 }
 
@@ -210,7 +208,7 @@ func tageReport(cfg pipeline.Config, st pipeline.Stats) *ace.TAGEReport {
 	}
 }
 
-// Run executes one simulation end to end: build the generator, warm the
+// Run executes one simulation end to end: decode the workload, warm the
 // hierarchy, run the pipeline, and integrate the AVFs.
 func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
@@ -218,106 +216,15 @@ func Run(cfg Config) (*Result, error) {
 
 // RunContext is Run with cooperative cancellation threaded through the
 // pipeline's cycle loop, so a SIGINT or watchdog aborts within one
-// simulation rather than one campaign. A finished run adds its cycles to
-// the context's Meter, if it carries one.
+// simulation rather than one campaign. The run is a one-lane batch on a
+// fresh Arena — the production engine and collector, retaining nothing
+// once it returns — or, for a stream that cannot be shared, the reference
+// interpreter (see RunBatchArena). A finished run adds its cycles to the
+// context's Meter, if it carries one.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.Commits == 0 {
-		cfg.Commits = DefaultCommits
-	}
-	zero := pipeline.Config{}
-	if cfg.Pipeline == zero {
-		cfg.Pipeline = pipeline.DefaultConfig()
-	}
-	gen, err := workload.New(cfg.Workload)
+	res, err := runLanes(ctx, NewArena(), cfg.Workload, cfg.Commits, []Config{cfg})
 	if err != nil {
 		return nil, err
 	}
-	// Warm runs clone a process-wide warmed snapshot instead of redoing the
-	// (workload-independent) warm sweep; the clone is bit-identical to a
-	// freshly warmed hierarchy, so results are unchanged — only cheaper.
-	var mem *cache.Hierarchy
-	if cfg.SkipWarm {
-		var err error
-		mem, err = cache.NewHierarchy(cache.DefaultHierarchy())
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		mem = workload.WarmedDefault()
-	}
-	pipe, err := pipeline.New(cfg.Pipeline, gen, mem)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.KeepTrace {
-		tr, err := pipe.RunContext(ctx, cfg.Commits, true)
-		if err != nil {
-			return nil, err
-		}
-		rep := ace.Analyze(tr)
-		res := &Result{
-			Name:           cfg.Workload.Name,
-			IPC:            tr.IPC(),
-			Report:         rep,
-			Cycles:         tr.Cycles,
-			Commits:        tr.Commits,
-			Squashes:       tr.Squashes,
-			Refetches:      tr.Refetches,
-			ThrottleEvents: tr.ThrottleEvents,
-			LoadMissRateL0: tr.LoadMissRate(cache.LevelL0),
-			LoadMissRateL1: tr.LoadMissRate(cache.LevelL1),
-			Trace:          tr,
-		}
-		if cfg.RegFile {
-			res.RegFile = ace.AnalyzeRegFile(tr, rep.Dead)
-		}
-		if cfg.FrontEnd {
-			res.FrontEndReport = ace.AnalyzeFrontEnd(tr, rep.Dead)
-		}
-		if cfg.StoreBuffer {
-			res.StoreBufferReport = ace.AnalyzeStoreBuffer(tr, rep.Dead)
-		}
-		if cfg.Pipeline.OutOfOrder {
-			res.ROBReport = ace.AnalyzeROB(tr, rep.Dead)
-			res.LSQReport = ace.AnalyzeLSQ(tr, rep.Dead)
-			res.TAGEReport = ace.AnalyzeTAGE(tr)
-		}
-		meterCycles(ctx, res.Cycles)
-		return res, nil
-	}
-	// Streaming path: residencies fold into the AVF integrals as their
-	// intervals close; no trace is ever materialised. The resulting reports
-	// are exactly equal to the batch path's (pinned by the ace stream
-	// tests), just cheaper.
-	ccfg := ace.StructureConfig(cfg.Pipeline, cfg.Commits)
-	ccfg.FrontEnd, ccfg.StoreBuffer, ccfg.RegFile = cfg.FrontEnd, cfg.StoreBuffer, cfg.RegFile
-	coll := ace.NewCollector(ccfg)
-	var sink pipeline.Sink = coll
-	if cfg.Sink != nil {
-		sink = pipeline.Tee(coll, cfg.Sink)
-	}
-	st, err := pipe.RunStream(ctx, cfg.Commits, sink)
-	if err != nil {
-		return nil, err
-	}
-	reps := coll.Finish(st.Cycles)
-	meterCycles(ctx, st.Cycles)
-	return &Result{
-		Name:              cfg.Workload.Name,
-		IPC:               st.IPC(),
-		Report:            reps.IQ,
-		Cycles:            st.Cycles,
-		Commits:           st.Commits,
-		Squashes:          st.Squashes,
-		Refetches:         st.Refetches,
-		ThrottleEvents:    st.ThrottleEvents,
-		LoadMissRateL0:    st.LoadMissRate(cache.LevelL0),
-		LoadMissRateL1:    st.LoadMissRate(cache.LevelL1),
-		RegFile:           reps.RegFile,
-		FrontEndReport:    reps.FrontEnd,
-		StoreBufferReport: reps.StoreBuffer,
-		ROBReport:         reps.ROB,
-		LSQReport:         reps.LSQ,
-		TAGEReport:        tageReport(cfg.Pipeline, st),
-	}, nil
+	return res[0], nil
 }

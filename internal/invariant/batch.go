@@ -9,12 +9,13 @@ import (
 	"softerror/internal/rng"
 )
 
-// checkBatchedIndependent pins the tentpole identity of the batched
-// evaluation path on randomised inputs: K random configurations evaluated
-// over one decode of a random workload's stream (core.RunBatchContext)
-// must produce Results equal — reports, deadness, stats, everything — to
-// K independent core.RunContext runs. The batch width, each lane's
-// geometry and each lane's optional analyses all vary per seed.
+// checkBatchedIndependent pins that lanes sharing one stream and one
+// deadness analysis do not interfere, on randomised inputs: K random
+// configurations evaluated over one decode of a random workload's stream
+// (core.RunBatchContext) must produce Results equal — reports, deadness,
+// stats, everything — to K independent core.RunContext runs, each a
+// one-lane batch on a fresh arena. The batch width, each lane's geometry
+// and each lane's optional analyses all vary per seed.
 func checkBatchedIndependent(seed uint64, opt Options) error {
 	opt = opt.withDefaults()
 	s := rng.New(seed, 0xBA7C)
@@ -22,12 +23,8 @@ func checkBatchedIndependent(seed uint64, opt Options) error {
 	k := 2 + s.Intn(4)
 	specs := make([]core.BatchSpec, k)
 	for i := range specs {
-		cfg := RandomPipelineConfig(s)
-		// The batched engine is event-horizon only; SingleStep lanes are
-		// rejected with a typed error (pinned by the pipeline batch tests).
-		cfg.SingleStep = false
 		specs[i] = core.BatchSpec{
-			Pipeline:    cfg,
+			Pipeline:    RandomPipelineConfig(s),
 			FrontEnd:    s.Bool(0.5),
 			StoreBuffer: s.Bool(0.5),
 		}
@@ -38,7 +35,7 @@ func checkBatchedIndependent(seed uint64, opt Options) error {
 		return err
 	}
 	for i, sp := range specs {
-		solo, err := core.RunContext(context.Background(), core.Config{
+		one, err := core.RunContext(context.Background(), core.Config{
 			Workload:    params,
 			Pipeline:    sp.Pipeline,
 			Commits:     opt.Commits,
@@ -48,10 +45,10 @@ func checkBatchedIndependent(seed uint64, opt Options) error {
 		if err != nil {
 			return err
 		}
-		if !reflect.DeepEqual(solo, batched[i]) {
+		if !reflect.DeepEqual(one, batched[i]) {
 			return fmt.Errorf("batched lane %d of %d diverges from its independent run "+
-				"(solo IPC=%.6f SDC=%.6f cycles=%d; batched IPC=%.6f SDC=%.6f cycles=%d; cfg=%+v)",
-				i, k, solo.IPC, solo.Report.SDCAVF(), solo.Cycles,
+				"(one-lane IPC=%.6f SDC=%.6f cycles=%d; batched IPC=%.6f SDC=%.6f cycles=%d; cfg=%+v)",
+				i, k, one.IPC, one.Report.SDCAVF(), one.Cycles,
 				batched[i].IPC, batched[i].Report.SDCAVF(), batched[i].Cycles, sp.Pipeline)
 		}
 	}

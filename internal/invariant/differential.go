@@ -9,6 +9,7 @@ import (
 	"reflect"
 
 	"softerror/internal/ace"
+	"softerror/internal/cache"
 	"softerror/internal/checkpoint"
 	"softerror/internal/core"
 	"softerror/internal/pipeline"
@@ -18,8 +19,8 @@ import (
 	"softerror/internal/workload"
 )
 
-// runTrace runs one pipeline built from (cfg, params) on a warmed default
-// hierarchy and returns the materialised trace.
+// runTrace runs the reference interpreter built from (cfg, params) on a
+// warmed default hierarchy and returns the materialised trace.
 func runTrace(cfg pipeline.Config, params workload.Params, commits uint64) (*pipeline.Trace, error) {
 	gen, err := workload.New(params)
 	if err != nil {
@@ -32,11 +33,46 @@ func runTrace(cfg pipeline.Config, params workload.Params, commits uint64) (*pip
 	return p.Run(commits, true), nil
 }
 
-// checkTraceDifferential cross-validates the event-horizon fast path
-// against the reference single-step interpreter on one random
-// configuration: the traces must be identical in every cycle count,
-// residency interval and committed instruction.
+// laneWrap wraps a lane's sink before the run: nil in the checks, a
+// perturbation in their negative-half tests, which prove a check fails
+// when the lane's events drift.
+type laneWrap func(pipeline.BatchSink) pipeline.BatchSink
+
+// runLane runs (cfg, params) as a one-lane batch — the production engine —
+// on a warmed default hierarchy, delivering the lane's events to the sink
+// newSink builds over the decoded stream (wrapped by wrap, if non-nil).
+func runLane(cfg pipeline.Config, params workload.Params, commits uint64, wrap laneWrap,
+	newSink func(*workload.Shared) (pipeline.BatchSink, error)) (pipeline.Stats, error) {
+	sh, err := workload.NewShared(params)
+	if err != nil {
+		return pipeline.Stats{}, err
+	}
+	sink, err := newSink(sh)
+	if err != nil {
+		return pipeline.Stats{}, err
+	}
+	if wrap != nil {
+		sink = wrap(sink)
+	}
+	stats, err := pipeline.RunBatchStreamArena(context.Background(), commits, sh,
+		[]pipeline.Config{cfg}, []*cache.Hierarchy{workload.WarmedDefault()},
+		[]pipeline.BatchSink{sink}, nil)
+	if err != nil {
+		return pipeline.Stats{}, err
+	}
+	return stats[0], nil
+}
+
+// checkTraceDifferential cross-validates the production engine against the
+// reference interpreter on one random configuration: a one-lane batch,
+// which skips quiescent cycles over compact entries, must record a trace
+// identical in every cycle count, residency interval and committed
+// instruction to the stepping reference's.
 func checkTraceDifferential(seed uint64, opt Options) error {
+	return traceDifferential(seed, opt, nil)
+}
+
+func traceDifferential(seed uint64, opt Options, wrap laneWrap) error {
 	opt = opt.withDefaults()
 	s := rng.New(seed, 0xD1FF)
 	params := RandomWorkload(s)
@@ -47,19 +83,19 @@ func checkTraceDifferential(seed uint64, opt Options) error {
 		cfg.IQSize = 8
 		cfg.StoreBufferSize = 2
 	}
-	ref, fast := cfg, cfg
-	ref.SingleStep = true
-	fast.SingleStep = false
-	want, err := runTrace(ref, params, opt.Commits)
+	want, err := runTrace(cfg, params, opt.Commits)
 	if err != nil {
 		return err
 	}
-	got, err := runTrace(fast, params, opt.Commits)
+	rec := pipeline.NewTraceRecorder(cfg, opt.Commits)
+	st, err := runLane(cfg, params, opt.Commits, wrap, func(sh *workload.Shared) (pipeline.BatchSink, error) {
+		return pipeline.Beside(sh, nil, rec), nil
+	})
 	if err != nil {
 		return err
 	}
-	if !reflect.DeepEqual(want, got) {
-		return fmt.Errorf("fast-forward trace diverges from single-step "+
+	if got := rec.Trace(st); !reflect.DeepEqual(want, got) {
+		return fmt.Errorf("one-lane batch trace diverges from the reference interpreter's "+
 			"(cycles %d vs %d, commits %d vs %d, squashes %d vs %d, cfg=%+v)",
 			want.Cycles, got.Cycles, want.Commits, got.Commits,
 			want.Squashes, got.Squashes, cfg)
@@ -67,44 +103,67 @@ func checkTraceDifferential(seed uint64, opt Options) error {
 	return nil
 }
 
-// checkStreamBatch runs ONE random simulation with the streaming
-// ace.Collector and a TraceRecorder teed off the same event stream, then
-// batch-analyses the recorded trace: the two report sets must be exactly
-// equal — same integrals, same categories, not statistically close.
+// checkStreamBatch runs one random configuration through the production
+// path — a one-lane batch folding its events into an ace.BatchCollector
+// with every analysis on — and through the reference interpreter, whose
+// recorded trace the trace analyses integrate per residency over a
+// full-log AnalyzeDeadness. The two report sets must be exactly equal:
+// same integrals, same categories, not statistically close. The oracle
+// shares neither the engine nor the collector's prefix analysis, tail
+// patch or charge buckets.
 func checkStreamBatch(seed uint64, opt Options) error {
+	return streamBatch(seed, opt, nil)
+}
+
+func streamBatch(seed uint64, opt Options, wrap laneWrap) error {
 	opt = opt.withDefaults()
 	s := rng.New(seed, 0x57BA)
 	params := RandomWorkload(s)
 	cfg := RandomPipelineConfig(s)
-	gen, err := workload.New(params)
-	if err != nil {
-		return err
-	}
-	pipe, err := pipeline.New(cfg, gen, workload.WarmedDefault())
-	if err != nil {
-		return err
-	}
 	ccfg := ace.StructureConfig(cfg, opt.Commits)
-	ccfg.FrontEnd = true
-	ccfg.StoreBuffer = true
-	coll := ace.NewCollector(ccfg)
-	rec := pipeline.NewTraceRecorder(cfg, opt.Commits)
-	st, err := pipe.RunStream(context.Background(), opt.Commits, pipeline.Tee(coll, rec))
+	ccfg.FrontEnd, ccfg.StoreBuffer, ccfg.RegFile = true, true, true
+	var coll *ace.BatchCollector
+	st, err := runLane(cfg, params, opt.Commits, wrap, func(sh *workload.Shared) (pipeline.BatchSink, error) {
+		var err error
+		coll, err = ace.NewBatchCollector(ccfg, ace.NewBatchGroup(sh))
+		return coll, err
+	})
 	if err != nil {
 		return err
 	}
-	streamed := coll.Finish(st.Cycles)
-	tr := rec.Trace(st)
+	got := coll.Finish(st.Cycles)
 
-	batchIQ := ace.Analyze(tr)
-	if !reflect.DeepEqual(streamed.IQ, batchIQ) {
-		return fmt.Errorf("streamed IQ report diverges from batch analysis (cfg=%+v)", cfg)
+	tr, err := runTrace(cfg, params, opt.Commits)
+	if err != nil {
+		return err
 	}
-	if batchFE := ace.AnalyzeFrontEnd(tr, batchIQ.Dead); !reflect.DeepEqual(streamed.FrontEnd, batchFE) {
-		return fmt.Errorf("streamed front-end report diverges from batch analysis (cfg=%+v)", cfg)
+	iq := ace.Analyze(tr)
+	want := &ace.Reports{
+		IQ:          iq,
+		FrontEnd:    ace.AnalyzeFrontEnd(tr, iq.Dead),
+		StoreBuffer: ace.AnalyzeStoreBuffer(tr, iq.Dead),
+		RegFile:     ace.AnalyzeRegFile(tr, iq.Dead),
+		Dead:        iq.Dead,
 	}
-	if batchSB := ace.AnalyzeStoreBuffer(tr, batchIQ.Dead); !reflect.DeepEqual(streamed.StoreBuffer, batchSB) {
-		return fmt.Errorf("streamed store-buffer report diverges from batch analysis (cfg=%+v)", cfg)
+	if cfg.OutOfOrder {
+		want.ROB = ace.AnalyzeROB(tr, iq.Dead)
+		want.LSQ = ace.AnalyzeLSQ(tr, iq.Dead)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"IQ", got.IQ, want.IQ},
+		{"front-end", got.FrontEnd, want.FrontEnd},
+		{"store-buffer", got.StoreBuffer, want.StoreBuffer},
+		{"register-file", got.RegFile, want.RegFile},
+		{"ROB", got.ROB, want.ROB},
+		{"LSQ", got.LSQ, want.LSQ},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			return fmt.Errorf("lane %s report diverges from the trace analysis of the reference run (cfg=%+v)",
+				c.name, cfg)
+		}
 	}
 	return nil
 }

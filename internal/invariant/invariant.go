@@ -1,8 +1,9 @@
 // Package invariant is the property/metamorphic audit layer over the
 // simulation and serving stack. Every number the reproduction reports rests
 // on a handful of structural properties — AVF is a residency integral, so
-// residency conservation *is* correctness; the fast path, the streaming
-// collector, the parallel engine and the checkpoint machinery are all
+// residency conservation *is* correctness; the production engine against
+// the reference interpreter, the batch collector against the trace
+// analyses, the parallel engine and the checkpoint machinery are all
 // claimed to be exact equivalences, not approximations. This package turns
 // each claim into a Check: a seeded, self-contained property test over
 // *randomised* configurations, usable from unit tests, fuzz harnesses and
@@ -65,17 +66,17 @@ func All() []Check {
 		},
 		{
 			Name: "trace-differential",
-			Doc:  "event-horizon fast path and single-step interpreter produce identical traces on random configurations",
+			Doc:  "a one-lane batch (the production engine, skipping quiescent cycles) and the stepping reference interpreter record identical traces on random configurations",
 			Run:  checkTraceDifferential,
 		},
 		{
 			Name: "stream-batch",
-			Doc:  "streaming ace.Collector reports equal batch trace analysis exactly, on one shared run",
+			Doc:  "a one-lane batch's ace.BatchCollector reports (IQ, front end, store buffer, ROB, LSQ, register file) equal the trace analyses of the reference interpreter's trace exactly",
 			Run:  checkStreamBatch,
 		},
 		{
 			Name: "batched-independent",
-			Doc:  "batched K-config evaluation equals K independent single-config runs, reports byte-identical",
+			Doc:  "K lanes sharing one decode and one deadness analysis equal K independent one-lane runs, reports byte-identical",
 			Run:  checkBatchedIndependent,
 		},
 		{

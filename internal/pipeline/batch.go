@@ -2,22 +2,24 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"softerror/internal/cache"
 	"softerror/internal/isa"
 )
 
-// This file is the batched evaluation path: RunBatch drives K configuration
-// variants through ONE decode of the generated instruction stream. The solo
-// engine (pipeline.go) pulls instructions from a Source and stores full
-// isa.Inst copies in its queues; each lane here instead stores a compact
-// (BatchRef, Seq) pair into struct-of-arrays ring buffers and reads
-// instruction content through the shared BatchSource memo, so K variants
-// share one generation pass and one L2-resident body window. The engines
-// are kept behaviourally identical phase by phase — the batched-independent
-// seraudit check pins byte-identical reports against K solo runs.
+// This file is the production engine: RunBatch drives K configuration
+// variants through ONE decode of the generated instruction stream (K = 1
+// for a single run). The reference interpreter (pipeline.go) pulls
+// instructions from a Source, stores full isa.Inst copies in its queues
+// and steps every cycle; each lane here instead stores a compact
+// (BatchRef, Seq) pair into struct-of-arrays ring buffers, reads
+// instruction content through the shared BatchSource memo, and skips
+// quiescent cycles to its next event horizon, so K variants share one
+// generation pass and one L2-resident body window. The engines are kept
+// behaviourally identical phase by phase — the trace-differential seraudit
+// check pins a lane's trace against the reference's on random
+// configurations.
 
 // BatchSource is a decoded-once instruction stream shared by every lane of
 // a batch: Body(n) is the n-th correct-path instruction of the
@@ -29,19 +31,13 @@ type BatchSource interface {
 	Wrong(j int) *isa.Inst
 }
 
-// ErrBatchSingleStep rejects SingleStep configurations from batches: the
-// batch engine is the fast path, and mixing single-stepped and
-// fast-forwarded variants in one pass would tie every lane to the slowest
-// discipline. Run SingleStep configs through RunStream.
-var ErrBatchSingleStep = errors.New("pipeline: SingleStep configurations cannot join a batch")
-
 // BatchRef locates one fetched instruction within a shared stream: the
 // correct-path body cursor n, plus a flag marking wrong-path fetches. The
 // fetch-order sequence number is carried alongside, and together they
-// reconstruct the exact instruction the solo engine would have fetched:
-// a lane that has drawn w wrong-path instructions before body position n
-// holds Seq n+w, so w (or the wrong-path ordinal j) is Seq minus the body
-// cursor.
+// reconstruct the exact instruction the reference interpreter would have
+// fetched: a lane that has drawn w wrong-path instructions before body
+// position n holds Seq n+w, so w (or the wrong-path ordinal j) is Seq
+// minus the body cursor.
 type BatchRef uint32
 
 const wrongRef BatchRef = 1 << 31
@@ -51,11 +47,11 @@ func wrongAt(n int) BatchRef   { return BatchRef(n) | wrongRef }
 func (r BatchRef) Wrong() bool { return r&wrongRef != 0 }
 func (r BatchRef) Body() int   { return int(r &^ wrongRef) }
 
-// Inst reconstructs the instruction a solo pipeline would have fetched at
-// this reference with the given sequence number: the shared-stream content
-// relabeled into the lane's coordinate system (Seq, PC shifted by 4 per
-// preceding wrong-path fetch, wrong-path call depth from the preceding
-// body instruction). FetchBubble is zero — the bubble is charged at fetch
+// Inst reconstructs the instruction the reference interpreter would have
+// fetched at this reference with the given sequence number: the
+// shared-stream content relabeled into the lane's coordinate system (Seq,
+// PC shifted by 4 per preceding wrong-path fetch, wrong-path call depth
+// from the preceding body instruction). FetchBubble is zero — the bubble is charged at fetch
 // and never visible in a recorded event.
 func (r BatchRef) Inst(src BatchSource, seq uint64) isa.Inst {
 	n := r.Body()
@@ -90,21 +86,41 @@ type BatchSink interface {
 	BatchStoreBuffer(ref BatchRef, seq, enq, evict uint64)
 }
 
-// sinkAdapter lifts a plain Sink to a BatchSink by reconstructing each
-// event's instruction from the shared stream. os caches the sink's OOOSink
-// side (nil when the sink doesn't implement it), so out-of-order events
-// forward without a per-event type assertion.
+// Beside returns a BatchSink that hands every event of a lane over src to
+// next in compact form (next may be nil) and to s with its instruction
+// reconstructed from src (BatchRef.Inst), in the order Sink documents. A
+// plain sink thereby rides beside a compact collector on one lane, and
+// chained calls fan one lane out to several plain sinks. Out-of-order
+// events reach whichever of next and s implement BatchOOOSink and OOOSink.
+func Beside(src BatchSource, next BatchSink, s Sink) BatchSink {
+	a := &sinkAdapter{src: src, s: s, next: next}
+	a.os, _ = s.(OOOSink)
+	a.nextOOO, _ = next.(BatchOOOSink)
+	return a
+}
+
+// sinkAdapter is Beside's BatchSink. os and nextOOO cache the sinks'
+// out-of-order sides (nil when absent), so out-of-order events forward
+// without a per-event type assertion.
 type sinkAdapter struct {
-	src BatchSource
-	s   Sink
-	os  OOOSink
+	src     BatchSource
+	s       Sink
+	os      OOOSink
+	next    BatchSink
+	nextOOO BatchOOOSink
 }
 
 func (a *sinkAdapter) BatchCommit(ref BatchRef, seq, enq, issue uint64) {
+	if a.next != nil {
+		a.next.BatchCommit(ref, seq, enq, issue)
+	}
 	a.s.OnCommit(ref.Inst(a.src, seq), enq, issue)
 }
 
 func (a *sinkAdapter) BatchResidency(ref BatchRef, seq, enq, issue, evict uint64, issued, squashed bool) {
+	if a.next != nil {
+		a.next.BatchResidency(ref, seq, enq, issue, evict, issued, squashed)
+	}
 	a.s.OnResidency(Residency{
 		Inst: ref.Inst(a.src, seq), Enq: enq, Evict: evict,
 		Issued: issued, Issue: issue, Squashed: squashed,
@@ -112,6 +128,9 @@ func (a *sinkAdapter) BatchResidency(ref BatchRef, seq, enq, issue, evict uint64
 }
 
 func (a *sinkAdapter) BatchFrontEnd(ref BatchRef, seq, fetched, until uint64, delivered bool) {
+	if a.next != nil {
+		a.next.BatchFrontEnd(ref, seq, fetched, until, delivered)
+	}
 	a.s.OnFrontEnd(Residency{
 		Inst: ref.Inst(a.src, seq), Enq: fetched, Evict: until,
 		Issued: delivered, Issue: until, Squashed: !delivered,
@@ -119,6 +138,9 @@ func (a *sinkAdapter) BatchFrontEnd(ref BatchRef, seq, fetched, until uint64, de
 }
 
 func (a *sinkAdapter) BatchStoreBuffer(ref BatchRef, seq, enq, evict uint64) {
+	if a.next != nil {
+		a.next.BatchStoreBuffer(ref, seq, enq, evict)
+	}
 	a.s.OnStoreBuffer(Residency{
 		Inst: ref.Inst(a.src, seq), Enq: enq, Evict: evict,
 		Issued: true, Issue: evict,
@@ -126,6 +148,9 @@ func (a *sinkAdapter) BatchStoreBuffer(ref BatchRef, seq, enq, evict uint64) {
 }
 
 func (a *sinkAdapter) BatchROB(ref BatchRef, seq, enq, evict uint64, read bool) {
+	if a.nextOOO != nil {
+		a.nextOOO.BatchROB(ref, seq, enq, evict, read)
+	}
 	if a.os == nil {
 		return
 	}
@@ -138,6 +163,9 @@ func (a *sinkAdapter) BatchROB(ref BatchRef, seq, enq, evict uint64, read bool) 
 }
 
 func (a *sinkAdapter) BatchLSQ(ref BatchRef, seq, enq, evict uint64, read bool) {
+	if a.nextOOO != nil {
+		a.nextOOO.BatchLSQ(ref, seq, enq, evict, read)
+	}
 	if a.os == nil {
 		return
 	}
@@ -149,7 +177,7 @@ func (a *sinkAdapter) BatchLSQ(ref BatchRef, seq, enq, evict uint64, read bool) 
 	a.os.OnLSQ(r)
 }
 
-// Compact queue entries: ~3× smaller than their solo counterparts, which
+// Compact queue entries: ~3× smaller than the reference's, which
 // carry a full isa.Inst each. Content is read back through the BatchSource.
 type biqEntry struct {
 	enq     uint64
@@ -211,7 +239,7 @@ type streamRef struct {
 	ref BatchRef
 }
 
-// ring is a fixed-capacity FIFO over a preallocated buffer. The solo
+// ring is a fixed-capacity FIFO over a preallocated buffer. The reference
 // engine compacts its queues by copying the tail down on every head
 // removal; lanes instead advance a head index, so steady-state dequeues
 // are O(1) and the backing slab never moves.
@@ -247,9 +275,9 @@ func (r *ring[T]) pop(k int) {
 }
 
 // batchLane is one configuration variant's complete pipeline state. It is
-// the solo Pipeline translated to compact entries: every phase below
+// the reference Pipeline translated to compact entries: every phase below
 // mirrors its pipeline.go counterpart exactly, so a lane's event stream
-// and statistics are byte-identical to a solo run of the same config.
+// and statistics are byte-identical to a reference run of the same config.
 type batchLane struct {
 	cfg   Config
 	src   BatchSource
@@ -313,7 +341,7 @@ const batchChunk = 4096
 // receives compact events directly). mems supplies each lane's private
 // data-cache hierarchy — lanes interleave loads and store drains
 // differently, so the hierarchy cannot be shared. Returns one Stats per
-// lane, byte-identical to K independent RunStream runs.
+// lane, byte-identical to K independent reference RunStream runs.
 func RunBatch(ctx context.Context, commits uint64, src BatchSource, cfgs []Config, mems []*cache.Hierarchy, sinks []Sink) ([]Stats, error) {
 	bs := make([]BatchSink, len(cfgs))
 	for i, s := range sinks {
@@ -322,12 +350,10 @@ func RunBatch(ctx context.Context, commits uint64, src BatchSource, cfgs []Confi
 		case BatchSink:
 			bs[i] = t
 		default:
-			ad := &sinkAdapter{src: src, s: s}
-			ad.os, _ = s.(OOOSink)
-			bs[i] = ad
+			bs[i] = Beside(src, nil, s)
 		}
 	}
-	return RunBatchStream(ctx, commits, src, cfgs, mems, bs)
+	return RunBatchStreamArena(ctx, commits, src, cfgs, mems, bs, nil)
 }
 
 // BatchArena owns the batched engine's reusable allocations: the lane
@@ -359,14 +385,9 @@ func slab[T any](buf []T, n int) []T {
 	return buf
 }
 
-// RunBatchStream is RunBatch for compact sinks — the zero-reconstruction
-// hot path ace.BatchCollector rides.
-func RunBatchStream(ctx context.Context, commits uint64, src BatchSource, cfgs []Config, mems []*cache.Hierarchy, sinks []BatchSink) ([]Stats, error) {
-	return RunBatchStreamArena(ctx, commits, src, cfgs, mems, sinks, nil)
-}
-
-// RunBatchStreamArena is RunBatchStream drawing lane state from a; nil
-// runs with one-shot allocations exactly as before.
+// RunBatchStreamArena is RunBatch for compact sinks — the
+// zero-reconstruction hot path ace.BatchCollector rides — drawing lane
+// state from a; a nil arena runs with one-shot allocations.
 func RunBatchStreamArena(ctx context.Context, commits uint64, src BatchSource, cfgs []Config, mems []*cache.Hierarchy, sinks []BatchSink, a *BatchArena) ([]Stats, error) {
 	if src == nil {
 		return nil, fmt.Errorf("pipeline: nil batch source")
@@ -378,9 +399,6 @@ func RunBatchStreamArena(ctx context.Context, commits uint64, src BatchSource, c
 	for i := range cfgs {
 		if err := cfgs[i].Validate(); err != nil {
 			return nil, fmt.Errorf("pipeline: batch lane %d: %w", i, err)
-		}
-		if cfgs[i].SingleStep {
-			return nil, fmt.Errorf("pipeline: batch lane %d: %w", i, ErrBatchSingleStep)
 		}
 		if mems[i] == nil {
 			return nil, fmt.Errorf("pipeline: batch lane %d: nil memory", i)
@@ -501,10 +519,10 @@ func newLanes(src BatchSource, cfgs []Config, mems []*cache.Hierarchy, sinks []B
 }
 
 // run advances the lane until its commit count reaches target, with the
-// solo engine's loop structure: step, watchdog, fast-forward to the lane's
-// own next event horizon. Stopping at an intermediate chunk target skips
-// at most one fast-forward, and the first step of the next chunk is then a
-// provable no-op cycle, so chunking never changes results.
+// reference's loop structure plus the skip: step, watchdog, fast-forward
+// to the lane's own next event horizon. Stopping at an intermediate chunk
+// target skips at most one fast-forward, and the first step of the next
+// chunk is then a provable no-op cycle, so chunking never changes results.
 func (ln *batchLane) run(ctx context.Context, target uint64) error {
 	for iter := uint64(0); ln.stats.Commits < target; iter++ {
 		if iter&1023 == 0 && ctx.Err() != nil {
@@ -520,14 +538,14 @@ func (ln *batchLane) run(ctx context.Context, target uint64) error {
 				watchdogCycles, ln.cycle, ln.iq.n, ln.fe.n, len(ln.refetch)-ln.refetchHead, ln.wrongMode, ln.stallUntil))
 		}
 		if ln.stats.Commits < target {
-			ln.fastForward()
+			ln.skipToHorizon()
 		}
 	}
 	return nil
 }
 
 // flush closes residencies for entries still in flight, clipped at the
-// final cycle, exactly as RunStream does.
+// final cycle, exactly as the reference's RunStream does.
 func (ln *batchLane) flush() {
 	if ln.sink == nil {
 		return
@@ -567,13 +585,24 @@ func (ln *batchLane) step() {
 	ln.cycle++
 }
 
-func (ln *batchLane) fastForward() {
+// neverCycle is the "no scheduled event" horizon sentinel.
+const neverCycle = ^uint64(0)
+
+// skipToHorizon jumps the clock to the next cycle at which anything can
+// happen, charging the skipped fetch-stall cycles in bulk. Skipped cycles
+// are provably no-ops — every state change the step phases can make is
+// scheduled at a known cycle (eventHorizon), so executing the next step
+// at the horizon produces exactly the state single-stepping would; the
+// trace-differential check compares against the stepping reference.
+func (ln *batchLane) skipToHorizon() {
 	now := ln.cycle
-	horizon := ln.nextEventCycle(now)
+	horizon := ln.eventHorizon(now)
 	if horizon <= now {
 		return
 	}
 	if ln.stallUntil > now {
+		// Each skipped cycle below stallUntil would have charged one
+		// fetch-stall cycle.
 		stallEnd := ln.stallUntil
 		if horizon < stallEnd {
 			stallEnd = horizon
@@ -583,7 +612,16 @@ func (ln *batchLane) fastForward() {
 	ln.cycle = horizon
 }
 
-func (ln *batchLane) nextEventCycle(now uint64) uint64 {
+// eventHorizon returns the earliest cycle ≥ now at which any step phase
+// can act: the min over the fetch stall's end, the head store's drain, the
+// branch redirect, queued squash/throttle detections, the head entry's
+// eviction, front-end delivery, the out-of-order structures' events, and
+// the earliest issue among unissued IQ entries. A result of now means the
+// coming cycle is not quiescent (or an event horizon cannot be bounded
+// conservatively) and must be stepped.
+func (ln *batchLane) eventHorizon(now uint64) uint64 {
+	// Fetch proceeds this cycle: nothing to skip. (This is the common case
+	// off the stall path and keeps the scan off the IPC-bound hot loop.)
 	if now >= ln.stallUntil && ln.fe.n < ln.feCap {
 		return now
 	}
@@ -622,6 +660,9 @@ func (ln *batchLane) nextEventCycle(now uint64) uint64 {
 	if ln.ooo {
 		horizon = ln.oooEventCycle(horizon)
 	}
+	// Earliest issue among unissued entries. In-order issue stalls on the
+	// first unissued instruction, so only its readiness matters; out of
+	// order, any entry may issue next.
 	for i := ln.issuePtr; i < ln.iq.n; i++ {
 		if horizon <= now {
 			return now
@@ -643,6 +684,10 @@ func (ln *batchLane) nextEventCycle(now uint64) uint64 {
 	return horizon
 }
 
+// readyCycle returns the first cycle at which the entry's operands are
+// available — ready(e, c) holds exactly when readyCycle(e) ≤ c. A store
+// blocked on a full store buffer returns neverCycle: it unblocks on a
+// drain, which contributes its own horizon candidate.
 func (ln *batchLane) readyCycle(e *biqEntry) uint64 {
 	if e.ref.Wrong() {
 		return 0
@@ -944,8 +989,8 @@ func (ln *batchLane) execute(e *biqEntry, now uint64) {
 	}
 }
 
-// sbHolds reports whether a live store-buffer entry covers addr. The solo
-// engine keeps a refcounted map; the buffer is at most StoreBufferSize
+// sbHolds reports whether a live store-buffer entry covers addr. The
+// reference keeps a refcounted map; the buffer is at most StoreBufferSize
 // entries, so a linear scan of the ring is cheaper than map traffic.
 func (ln *batchLane) sbHolds(addr uint64) bool {
 	for i := 0; i < ln.sb.n; i++ {
@@ -1049,7 +1094,7 @@ func (ln *batchLane) fetch(now uint64) {
 			if in.FetchBubble > 0 {
 				// Charge the delivery gap and park: the bubble lives in
 				// the shared memo, so it is honoured on the first fetch
-				// and ignored on refetch, exactly as the solo engine's
+				// and ignored on refetch, exactly as the reference's
 				// clear-on-park behaves.
 				until := now + uint64(in.FetchBubble)
 				if until > ln.stallUntil {

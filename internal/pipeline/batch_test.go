@@ -104,32 +104,6 @@ func TestBatchLanesMatchIndependentRuns(t *testing.T) {
 	}
 }
 
-// TestBatchRejectsSingleStep pins the typed rejection: SingleStep lanes —
-// alone or mixed with fast-path lanes — cannot join a batch.
-func TestBatchRejectsSingleStep(t *testing.T) {
-	p := workload.Default()
-	sh, err := workload.NewShared(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := DefaultConfig()
-	stepped := DefaultConfig()
-	stepped.SingleStep = true
-	for _, cfgs := range [][]Config{
-		{stepped},
-		{fast, stepped, fast},
-	} {
-		mems := make([]*cache.Hierarchy, len(cfgs))
-		for i := range mems {
-			mems[i] = workload.WarmedDefault()
-		}
-		_, err := RunBatch(context.Background(), 100, sh, cfgs, mems, make([]Sink, len(cfgs)))
-		if !errors.Is(err, ErrBatchSingleStep) {
-			t.Fatalf("RunBatch with SingleStep lane = %v, want ErrBatchSingleStep", err)
-		}
-	}
-}
-
 // TestBatchCancelled pins cooperative cancellation: a cancelled context
 // aborts the batch with the context's error.
 func TestBatchCancelled(t *testing.T) {

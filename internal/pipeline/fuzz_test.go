@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -123,8 +124,8 @@ func TestRandomisedKernels(t *testing.T) {
 	}
 }
 
-// runTraced runs one pipeline built from (params, cfg) on a freshly warmed
-// default hierarchy and returns the recorded trace.
+// runTraced runs the reference interpreter built from (params, cfg) on a
+// freshly warmed default hierarchy and returns the recorded trace.
 func runTraced(t *testing.T, cfg pipeline.Config, params workload.Params, commits uint64) *pipeline.Trace {
 	t.Helper()
 	gen := workload.MustNew(params)
@@ -133,11 +134,30 @@ func runTraced(t *testing.T, cfg pipeline.Config, params workload.Params, commit
 	return pipeline.MustNew(cfg, gen, mem).Run(commits, true)
 }
 
-// TestCycleSkipDifferential cross-validates the event-horizon fast path
-// against the reference single-step interpreter: for random workload ×
-// machine configurations spanning in-order/out-of-order, every trigger
-// combination and tiny queues, both must produce *identical* traces —
-// every cycle count, residency interval and committed instruction.
+// laneTraced runs (params, cfg) as a one-lane batch — the production
+// engine, skipping quiescent cycles — and returns the trace a recorder
+// beside the lane materialised.
+func laneTraced(t *testing.T, cfg pipeline.Config, params workload.Params, commits uint64) *pipeline.Trace {
+	t.Helper()
+	sh, err := workload.NewShared(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := pipeline.NewTraceRecorder(cfg, commits)
+	stats, err := pipeline.RunBatch(context.Background(), commits, sh,
+		[]pipeline.Config{cfg}, []*cache.Hierarchy{workload.WarmedDefault()}, []pipeline.Sink{rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.Trace(stats[0])
+}
+
+// TestCycleSkipDifferential cross-validates the production engine's
+// event-horizon skip against the stepping reference interpreter: for
+// random workload × machine configurations spanning in-order/out-of-order,
+// every trigger combination and tiny queues, a one-lane batch and the
+// reference must produce *identical* traces — every cycle count, residency
+// interval and committed instruction.
 func TestCycleSkipDifferential(t *testing.T) {
 	s := rng.New(0x5C1F, 17)
 	const trials = 15
@@ -150,13 +170,10 @@ func TestCycleSkipDifferential(t *testing.T) {
 			cfg.IQSize = 8
 			cfg.StoreBufferSize = 2
 		}
-		ref, fast := cfg, cfg
-		ref.SingleStep = true
-		fast.SingleStep = false
-		want := runTraced(t, ref, params, 4000)
-		got := runTraced(t, fast, params, 4000)
+		want := runTraced(t, cfg, params, 4000)
+		got := laneTraced(t, cfg, params, 4000)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("trial %d: fast-forward trace diverges from single-step "+
+			t.Fatalf("trial %d: lane trace diverges from the reference "+
 				"(cycles %d vs %d, commits %d vs %d, squashes %d vs %d, cfg=%+v)",
 				trial, want.Cycles, got.Cycles, want.Commits, got.Commits,
 				want.Squashes, got.Squashes, cfg)
@@ -168,8 +185,8 @@ func TestCycleSkipDifferential(t *testing.T) {
 // the hardest of any configuration the randomised differential has visited:
 // near-universal L0 misses with a deep miss tail, squash-on-L0 plus
 // throttle-on-L0, a shallow front end and a tiny store buffer. Most cycles
-// here are quiescent waits, so the fast path fast-forwards through the
-// bulk of the run — exactly where a horizon bug would surface.
+// here are quiescent waits, so the lane fast-forwards through the bulk of
+// the run — exactly where a horizon bug would surface.
 func TestCycleSkipDifferentialWorstStaller(t *testing.T) {
 	params := workload.Default()
 	params.LoadFrac = 0.25
@@ -191,17 +208,14 @@ func TestCycleSkipDifferentialWorstStaller(t *testing.T) {
 	cfg.FetchWidth = 1
 	cfg.IssueWidth = 1
 
-	ref, fast := cfg, cfg
-	ref.SingleStep = true
-	fast.SingleStep = false
-	want := runTraced(t, ref, params, 4000)
-	got := runTraced(t, fast, params, 4000)
+	want := runTraced(t, cfg, params, 4000)
+	got := laneTraced(t, cfg, params, 4000)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("worst-staller trace diverges (cycles %d vs %d, commits %d vs %d)",
 			want.Cycles, got.Cycles, want.Commits, got.Commits)
 	}
-	// The entry earns its keep only if stalls dominate: the fast path must
-	// actually be skipping here, not single-stepping a busy machine.
+	// The entry earns its keep only if stalls dominate: the lane must
+	// actually be skipping here, not stepping a busy machine.
 	if frac := float64(want.FetchStallCycles) / float64(want.Cycles); frac < 0.5 {
 		t.Fatalf("corpus entry no longer stall-dominated: %.2f of cycles stalled", frac)
 	}

@@ -2,13 +2,14 @@ package pipeline
 
 import "softerror/internal/isa"
 
-// This file is the out-of-order core family: the structures and phases
-// that exist only when Config.OutOfOrder is set. The family follows the
-// engine's composable-structure protocol — every vulnerable structure
-// supplies (a) a dispatch/admission hook (oooAdmit/oooDispatch), (b)
-// occupancy intervals through a per-structure sink method with a defined
-// read point (OOOSink.OnROB/OnLSQ), (c) a horizon candidate the
-// event-horizon skipper folds (oooEventCycle), and (d) flush, squash and
+// This file is the reference interpreter's out-of-order core family: the
+// structures and phases that exist only when Config.OutOfOrder is set
+// (batchooo.go is the lanes' counterpart). The family follows the engine's
+// composable-structure protocol — every vulnerable structure supplies (a)
+// a dispatch/admission hook (oooAdmit/oooDispatch), (b) occupancy
+// intervals through a per-structure sink method with a defined read point
+// (OOOSink.OnROB/OnLSQ), (c) a horizon candidate the lanes' event-horizon
+// skipper folds (batchLane.oooEventCycle), and (d) flush, squash and
 // end-of-run clip rules mirroring the instruction queue's. The in-order
 // family never reaches this code: every hook is gated on p.ooo, so its
 // cycle-level behaviour and event stream are byte-identical to before.
@@ -136,7 +137,7 @@ func (p *Pipeline) oooDispatch(in *isa.Inst, now uint64) {
 	}
 }
 
-// executeOOO issues one entry under the out-of-order family: the solo
+// executeOOO issues one entry under the out-of-order family: the in-order
 // execute with the store buffer replaced by the LSQ and a ROB completion
 // mark scheduling the in-order retire.
 func (p *Pipeline) executeOOO(e *iqEntry, now uint64) {
@@ -353,24 +354,6 @@ func (p *Pipeline) oooFlushEnd(cycle uint64) {
 		e := &p.lsq[i]
 		p.recordLSQ(e, cycle, e.drainAt != 0)
 	}
-}
-
-// oooEventCycle folds the out-of-order structures' horizon candidates:
-// the head ROB entry's retire and the head LSQ store's drain. Unissued
-// heads are covered by the IQ issue scan (every unissued ROB entry has an
-// IQ twin), and dispatch admission unblocks only through these events.
-func (p *Pipeline) oooEventCycle(horizon uint64) uint64 {
-	if len(p.rob) > 0 {
-		if at := p.rob[0].completeAt; at != 0 && at < horizon {
-			horizon = at
-		}
-	}
-	if len(p.lsq) > 0 {
-		if at := p.lsq[0].drainAt; at != 0 && at < horizon {
-			horizon = at
-		}
-	}
-	return horizon
 }
 
 // recordROB reports one reorder-buffer residency ending at evict; read

@@ -21,9 +21,6 @@ type Source interface {
 // simulator bug, not a workload property.
 const watchdogCycles = 500_000
 
-// neverCycle is the "no scheduled event" horizon sentinel.
-const neverCycle = ^uint64(0)
-
 type iqEntry struct {
 	inst    isa.Inst
 	enq     uint64
@@ -55,8 +52,13 @@ type throttleEvent struct {
 	missReturn uint64
 }
 
-// Pipeline is the core model. Create one per run with New; a Pipeline is
-// not safe for concurrent use and cannot be restarted after Run.
+// Pipeline is the reference interpreter of the core model: it steps every
+// cycle, pulls instructions from a Source and keeps full isa.Inst copies in
+// its queues. Production runs use the batched lanes (batch.go), which skip
+// quiescent cycles over compact entries; the reference exists to be
+// compared against them (the trace-differential seraudit check) and to
+// serve streams that cannot be shared. Create one per run with New; a
+// Pipeline is not safe for concurrent use and cannot be restarted after Run.
 type Pipeline struct {
 	cfg Config
 	src Source
@@ -175,11 +177,10 @@ func (p *Pipeline) RunContext(ctx context.Context, commits uint64, record bool) 
 }
 
 // RunStream simulates until the given number of correct-path instructions
-// have committed, delivering every residency and commit to sink as it
-// closes instead of materialising a Trace (sink may be nil for warm-up).
-// In-flight entries are flushed to the sink, clipped at the final cycle, so
-// occupancy integrals stay consistent. This is the zero-materialisation hot
-// path: with a streaming sink no per-instruction slice is ever built.
+// have committed, one cycle at a time, delivering every residency and
+// commit to sink as it closes (sink may be nil for warm-up). In-flight
+// entries are flushed to the sink, clipped at the final cycle, so
+// occupancy integrals stay consistent.
 func (p *Pipeline) RunStream(ctx context.Context, commits uint64, sink Sink) (Stats, error) {
 	p.sink = sink
 	if s, ok := sink.(OOOSink); ok {
@@ -199,9 +200,6 @@ func (p *Pipeline) RunStream(ctx context.Context, commits uint64, sink Sink) (St
 			panic(fmt.Sprintf(
 				"pipeline: no commit for %d cycles at cycle %d (iq=%d fe=%d refetch=%d wrong=%v stall=%d)",
 				watchdogCycles, p.cycle, len(p.iq), len(p.frontEnd), p.refetchLen(), p.wrongMode, p.stallUntil))
-		}
-		if !p.cfg.SingleStep && p.stats.Commits < commits {
-			p.fastForward()
 		}
 	}
 	// Close residencies for entries still in flight, clipped at the final
@@ -247,121 +245,6 @@ func (p *Pipeline) step() {
 	p.deliver(now)
 	p.fetch(now)
 	p.cycle++
-}
-
-// fastForward jumps the clock to the next cycle at which anything can
-// happen, charging the skipped fetch-stall cycles in bulk. Skipped cycles
-// are provably no-ops — every state change the step phases can make is
-// scheduled at a known cycle (nextEventCycle), so executing the next step
-// at the horizon produces exactly the state single-stepping would.
-func (p *Pipeline) fastForward() {
-	now := p.cycle
-	horizon := p.nextEventCycle(now)
-	if horizon <= now {
-		return
-	}
-	if p.stallUntil > now {
-		// Each skipped cycle below stallUntil would have charged one
-		// fetch-stall cycle.
-		stallEnd := p.stallUntil
-		if horizon < stallEnd {
-			stallEnd = horizon
-		}
-		p.stats.FetchStallCycles += stallEnd - now
-	}
-	p.cycle = horizon
-}
-
-// nextEventCycle returns the earliest cycle ≥ now at which any step phase
-// can act: the min over the fetch stall's end, the head store's drain, the
-// branch redirect, queued squash/throttle detections, the head entry's
-// eviction, front-end delivery, and the earliest issue among unissued IQ
-// entries. A result of now means the coming cycle is not quiescent (or an
-// event horizon cannot be bounded conservatively) and must be stepped.
-func (p *Pipeline) nextEventCycle(now uint64) uint64 {
-	// Fetch proceeds this cycle: nothing to skip. (This is the common case
-	// off the stall path and keeps the scan off the IPC-bound hot loop.)
-	if now >= p.stallUntil && len(p.frontEnd) < p.feCap {
-		return now
-	}
-	horizon := neverCycle
-	if now < p.stallUntil {
-		horizon = p.stallUntil
-	}
-	if len(p.sb) > 0 && p.sb[0].drainAt < horizon {
-		horizon = p.sb[0].drainAt
-	}
-	if p.resolveAt != 0 && p.resolveAt < horizon {
-		horizon = p.resolveAt
-	}
-	for i := range p.squashQ {
-		if at := p.squashQ[i].at; at < horizon {
-			horizon = at
-		}
-	}
-	for i := range p.throttleQ {
-		if at := p.throttleQ[i].at; at < horizon {
-			horizon = at
-		}
-	}
-	if len(p.iq) > 0 && p.iq[0].issued && p.iq[0].evictAt < horizon {
-		horizon = p.iq[0].evictAt
-	}
-	if len(p.frontEnd) > 0 && len(p.iq) < p.cfg.IQSize && p.frontEnd[0].readyAt < horizon {
-		horizon = p.frontEnd[0].readyAt
-	}
-	if p.ooo {
-		horizon = p.oooEventCycle(horizon)
-	}
-	// Earliest issue among unissued entries. In-order issue stalls on the
-	// first unissued instruction, so only its readiness matters; out of
-	// order, any entry may issue next.
-	for i := p.issuePtr; i < len(p.iq); i++ {
-		if horizon <= now {
-			return now
-		}
-		e := &p.iq[i]
-		if e.issued {
-			continue
-		}
-		if rc := p.readyCycle(&e.inst); rc < horizon {
-			horizon = rc
-		}
-		if !p.cfg.OutOfOrder {
-			break
-		}
-	}
-	if horizon < now || horizon == neverCycle {
-		return now
-	}
-	return horizon
-}
-
-// readyCycle returns the first cycle at which the instruction's operands
-// are available — ready(in, c) holds exactly when readyCycle(in) ≤ c. A
-// store blocked on a full store buffer returns neverCycle: it unblocks on
-// a drain, which contributes its own horizon candidate.
-func (p *Pipeline) readyCycle(in *isa.Inst) uint64 {
-	if in.WrongPath {
-		return 0
-	}
-	t := uint64(0)
-	if in.PredGuard != isa.RegNone {
-		t = p.regReady[in.PredGuard]
-	}
-	if in.PredFalse {
-		return t // guard known false: operand values are irrelevant
-	}
-	if in.Class == isa.ClassStore && !p.ooo && len(p.sb) >= p.cfg.StoreBufferSize {
-		return neverCycle
-	}
-	if in.Src1 != isa.RegNone && p.regReady[in.Src1] > t {
-		t = p.regReady[in.Src1]
-	}
-	if in.Src2 != isa.RegNone && p.regReady[in.Src2] > t {
-		t = p.regReady[in.Src2]
-	}
-	return t
 }
 
 // recordResidency reports a residency for e ending at evict.

@@ -12,10 +12,11 @@ import (
 // the same order, with the same contents — so a sink sees precisely the
 // stream a recorded Trace would hold, one interval at a time.
 //
-// Consumers that only fold the stream into counters (the ACE/AVF integrals)
-// implement Sink directly and skip the O(commits) slices entirely;
-// TraceRecorder is the Sink that reconstructs today's Trace for callers that
-// still want materialised intervals (fault injection, tracefile, traceview).
+// The production lanes emit compact BatchSink events, which the ACE/AVF
+// collector folds into counters without the O(commits) slices; Beside lifts
+// a plain Sink onto a lane. TraceRecorder is the Sink that materialises a
+// Trace for callers that want the intervals (fault injection, tracefile,
+// traceview, and the differential checks against the reference).
 type Sink interface {
 	// OnResidency reports one closed instruction-queue occupancy interval
 	// (eviction, squash, wrong-path flush, or end-of-run clip).
@@ -50,8 +51,8 @@ type OOOSink interface {
 }
 
 // Stats holds the scalar counters of one run — everything a Trace records
-// besides its interval slices. RunStream returns it so streaming consumers
-// get IPC, miss rates and event counts without a Trace.
+// besides its interval slices. RunStream and the batch runners return it so
+// sink consumers get IPC, miss rates and event counts without a Trace.
 type Stats struct {
 	Cycles  uint64
 	Commits uint64
@@ -194,8 +195,8 @@ func (rec *TraceRecorder) Trace(st Stats) *Trace {
 }
 
 // Tee fans the event stream out to several sinks, in argument order. Nil
-// sinks are skipped; a campaign driver uses it to feed an ace.Collector and
-// a fault residency recorder from one run.
+// sinks are skipped; the reference path uses it to feed a TraceRecorder and
+// a caller's sink (a fault residency recorder, say) from one run.
 func Tee(sinks ...Sink) Sink {
 	kept := make([]Sink, 0, len(sinks))
 	for _, s := range sinks {

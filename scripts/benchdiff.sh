@@ -23,7 +23,10 @@
 # Gate mode compares a fresh run against a snapshot — by default the
 # lexicographically newest BENCH_*.json in the repository root, which the
 # date naming makes the chronologically newest — and exits 1 when any
-# metric regressed by more than BENCH_GATE_PCT percent (default 10).
+# metric regressed by more than BENCH_GATE_PCT percent (default 10), or
+# when a (benchmark, metric) the snapshot records is missing from the run:
+# a renamed or deleted benchmark must ship a refreshed snapshot rather
+# than drop out of the gate unnoticed.
 # Regression direction is metric-aware:
 #
 #   - per-op costs regress UPWARD: ns/op, B/op, allocs/op, and cost-like
@@ -151,6 +154,7 @@ case "${1:-}" in
 	{
 		key = $1 " " $2
 		if (!(key in old)) next
+		seen[key] = 1
 		o = old[key] + 0
 		n = $3 + 0
 		if (o == 0) next
@@ -162,8 +166,15 @@ case "${1:-}" in
 		}
 	}
 	END {
+		for (key in old) {
+			if (!(key in seen)) {
+				split(key, kf, " ")
+				printf "MISSING %s %s: in the snapshot, not in this run\n", kf[1], kf[2]
+				bad = 1
+			}
+		}
 		if (bad) {
-			printf "benchdiff: performance regressed past the %g%% gate vs %s\n", pct, snap
+			printf "benchdiff: performance regressed past the %g%% gate, or rows went missing, vs %s\n", pct, snap
 			printf "benchdiff: if the change is deliberate, refresh the snapshot:\n"
 			printf "  scripts/benchdiff.sh -snapshot <bench-output> > BENCH_$(date +%%F).json\n"
 			exit 1
