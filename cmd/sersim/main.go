@@ -96,19 +96,12 @@ func run(args []string) error {
 	}
 	pol.Apply(&pcfg)
 	// Stream by default: residencies fold into the AVF integrals as they
-	// close and a fault campaign records just what injection samples. Only
-	// -savetrace still needs the full trace materialised.
-	keepTrace := *saveTrace != ""
-	ccfg := core.Config{
+	// close. A fault campaign and -savetrace read the recorded trace.
+	res, err := core.RunContext(ctx, core.Config{
 		Workload: params, Pipeline: pcfg, Commits: runCommits,
-		RegFile: true, FrontEnd: true, StoreBuffer: true, KeepTrace: keepTrace,
-	}
-	var rec *fault.StreamRecorder
-	if *strikes > 0 && !keepTrace {
-		rec = fault.NewStreamRecorder(runCommits)
-		ccfg.Sink = rec
-	}
-	res, err := core.RunContext(ctx, ccfg)
+		RegFile: true, FrontEnd: true, StoreBuffer: true,
+		KeepTrace: *strikes > 0 || *saveTrace != "",
+	})
 	if err != nil {
 		return err
 	}
@@ -208,12 +201,7 @@ func run(args []string) error {
 
 	if *strikes > 0 {
 		fmt.Println()
-		var inj *fault.Injector
-		if rec != nil {
-			inj = rec.Injector(res.Cycles, rep.Entries, rep.Dead)
-		} else {
-			inj = fault.NewInjector(res.Trace, rep.Dead)
-		}
+		inj := fault.NewInjector(res.Trace, rep.Dead)
 		if err := faultCampaign(ctx, res, inj, *strikes, *faultSeed, d.Jobs(), *ckPath, *resume); err != nil {
 			return err
 		}

@@ -90,14 +90,6 @@ type Stats struct {
 	Writebacks uint64
 }
 
-// MissRate returns misses/accesses, or 0 for an untouched cache.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Eviction describes a line displaced from a cache, delivered to the
 // hierarchy's OnEvict hook. The π-bit machinery uses it to detect π state
 // going out of scope (paper §4.2: "when the π bit goes out of scope, an

@@ -54,7 +54,7 @@ func RunBatchArena(ctx context.Context, a *Arena, w workload.Params, commits uin
 
 // runLanes evaluates one lane per Config over one decode of w — the path
 // RunBatchArena and RunContext share. Each Config contributes only its
-// per-lane fields: Pipeline, the optional analyses, KeepTrace and Sink.
+// per-lane fields: Pipeline, the optional analyses and KeepTrace.
 func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, lanes []Config) ([]*Result, error) {
 	if a == nil {
 		a = NewArena()
@@ -83,9 +83,12 @@ func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, 
 		return nil, err
 	}
 	// Pre-size the shared memos: every lane walks ~commits body
-	// instructions (plus a small overshoot), and wrong-path draws run a
-	// fraction of that. One up-front reservation replaces the log2(commits)
-	// append-doublings the memos would otherwise pay; on a reused stream
+	// instructions (plus a small overshoot). Wrong-path draws vary by
+	// workload — about 0.13-0.27 per commit on the FP roster benchmarks,
+	// 0.67-1.1 on the integer ones — so the commits/4 reservation fits FP
+	// streams and integer streams regrow past it on demand. Reserving a
+	// full commits instead costs more peak memory (cached FP streams then
+	// hold unused capacity) than the regrowth it saves. On a reused stream
 	// the memos are already materialised and this is a no-op.
 	sh.Reserve(int(commits)+1024, int(commits)/4+256)
 
@@ -115,9 +118,6 @@ func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, 
 			recs[i] = pipeline.NewTraceRecorder(cfgs[i], commits)
 			sinks[i] = pipeline.Beside(sh, sinks[i], recs[i])
 		}
-		if ln.Sink != nil {
-			sinks[i] = pipeline.Beside(sh, sinks[i], ln.Sink)
-		}
 	}
 
 	stats, err := pipeline.RunBatchStreamArena(ctx, commits, sh, cfgs, mems, sinks, &a.pipe)
@@ -141,8 +141,8 @@ func runLanes(ctx context.Context, a *Arena, w workload.Params, commits uint64, 
 
 // referenceRun evaluates one lane on the reference interpreter — the path
 // for streams no lanes can share (workload.ErrUnshareable). It records the
-// trace, feeds the lane's Sink beside the recorder, and integrates the
-// trace with the trace analyses, honouring every per-lane option.
+// trace and integrates it with the trace analyses, honouring every
+// per-lane option.
 func referenceRun(ctx context.Context, w workload.Params, commits uint64, cfg pipeline.Config, ln *Config) (*Result, error) {
 	gen, err := workload.New(w)
 	if err != nil {
@@ -153,7 +153,7 @@ func referenceRun(ctx context.Context, w workload.Params, commits uint64, cfg pi
 		return nil, err
 	}
 	rec := pipeline.NewTraceRecorder(cfg, commits)
-	st, err := pipe.RunStream(ctx, commits, pipeline.Tee(rec, ln.Sink))
+	st, err := pipe.RunStream(ctx, commits, rec)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 
 	"softerror/internal/ace"
 	"softerror/internal/cache"
-	"softerror/internal/isa"
 	"softerror/internal/pipeline"
 	"softerror/internal/spec"
 	"softerror/internal/workload"
@@ -194,19 +193,10 @@ func TestRunBatchHoledOOOMatchesSolo(t *testing.T) {
 	}
 }
 
-// countSink counts the plain-sink events a run delivers.
-type countSink struct{ residencies, commits uint64 }
-
-func (c *countSink) OnResidency(pipeline.Residency)    { c.residencies++ }
-func (c *countSink) OnFrontEnd(pipeline.Residency)     {}
-func (c *countSink) OnStoreBuffer(pipeline.Residency)  {}
-func (c *countSink) OnCommit(isa.Inst, uint64, uint64) { c.commits++ }
-
 // TestRunContextHonoursOptions pins RunContext's per-run options on both
 // of its paths — the one-lane batch and, for an unshareable stream, the
 // reference interpreter: KeepTrace returns the reference interpreter's
-// trace, RegFile the register-file analysis of that trace, and Sink sees
-// every residency and commit of the run.
+// trace and RegFile the register-file analysis of that trace.
 func TestRunContextHonoursOptions(t *testing.T) {
 	for _, bp := range []string{"", "gshare"} {
 		t.Run("predictor="+bp, func(t *testing.T) {
@@ -215,10 +205,9 @@ func TestRunContextHonoursOptions(t *testing.T) {
 			const commits = 3000
 			cfg := pipeline.DefaultConfig()
 			cfg.SquashTrigger = pipeline.TriggerL1Miss
-			sink := &countSink{}
 			res, err := RunContext(context.Background(), Config{
 				Workload: p, Pipeline: cfg, Commits: commits,
-				KeepTrace: true, RegFile: true, FrontEnd: true, Sink: sink,
+				KeepTrace: true, RegFile: true, FrontEnd: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -237,10 +226,6 @@ func TestRunContextHonoursOptions(t *testing.T) {
 			}
 			if want := ace.AnalyzeFrontEnd(tr, dead); !reflect.DeepEqual(res.FrontEndReport, want) {
 				t.Error("front-end report differs from the trace analysis")
-			}
-			if sink.commits != tr.Commits || sink.residencies != uint64(len(tr.Residencies)) {
-				t.Errorf("sink saw %d commits, %d residencies; trace has %d, %d",
-					sink.commits, sink.residencies, tr.Commits, len(tr.Residencies))
 			}
 		})
 	}

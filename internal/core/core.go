@@ -108,12 +108,14 @@ type Config struct {
 	// one thousandth of the paper's SimPoint length, enough for the AVF
 	// integrals to stabilise on a laptop-scale run).
 	Commits uint64
-	// KeepTrace retains the full pipeline trace (residencies and commit
-	// log) on the Result, as needed for fault-injection campaigns: a
-	// pipeline.TraceRecorder rides beside the lane's collector. Off by
-	// default: without it residencies fold straight into the AVF integrals
-	// and no trace is materialised. The reports come from the collector
-	// either way.
+	// KeepTrace retains the full pipeline trace (every structure's
+	// residencies, the commit log and its issue cycles) on the Result: a
+	// pipeline.TraceRecorder rides beside the lane's collector. It is the
+	// one way to observe a run's intervals — fault-injection campaigns
+	// (fault.NewInjector), tracefile and the residency-conservation check
+	// all read it. Off by default: without it residencies fold straight
+	// into the AVF integrals and no trace is materialised. The reports
+	// come from the collector either way.
 	KeepTrace bool
 	// RegFile additionally computes the architectural register files'
 	// vulnerability report (the paper's closing "other structures"
@@ -124,11 +126,6 @@ type Config struct {
 	// the conclusion's "other structures").
 	FrontEnd    bool
 	StoreBuffer bool
-	// Sink, when non-nil, receives the run's event stream beside the
-	// collector, with each instruction reconstructed — e.g. a
-	// fault.StreamRecorder that retains just the intervals an injection
-	// campaign samples.
-	Sink pipeline.Sink
 }
 
 // DefaultCommits is the default per-run commit count.

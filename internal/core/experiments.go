@@ -616,19 +616,15 @@ func OutcomesCampaign(ctx context.Context, b spec.Benchmark, commits uint64, str
 	if commits == 0 {
 		commits = DefaultCommits
 	}
-	// The lane's collector integrates the AVFs while a recorder beside it
-	// (pooled: figure drivers run one campaign per roster benchmark, and
-	// the interval/log buffers dominate each) retains just the IQ
-	// intervals and commit log the injector samples — no full trace is
-	// materialised.
-	rec := fault.GetStreamRecorder(commits)
-	res, err := RunContext(ctx, Config{Workload: b.Params, Commits: commits, Sink: rec})
+	// The lane's collector integrates the AVFs while a trace recorder
+	// beside it keeps the IQ intervals and commit log the injector samples.
+	res, err := RunContext(ctx, Config{Workload: b.Params, Commits: commits, KeepTrace: true})
 	if err != nil {
 		return nil, err
 	}
 	labels, cfgs := OutcomeConfigs(strikes, seed)
 	camp := &fault.Campaign{
-		Injector:   rec.Injector(res.Cycles, res.Report.Entries, res.Report.Dead),
+		Injector:   fault.NewInjector(res.Trace, res.Report.Dead),
 		Configs:    cfgs,
 		Opts:       par.Options{Workers: workers},
 		Checkpoint: ck,
@@ -637,9 +633,6 @@ func OutcomesCampaign(ctx context.Context, b spec.Benchmark, commits uint64, str
 	if err != nil {
 		return nil, err
 	}
-	// The campaign results hold only outcome tallies — nothing aliases the
-	// recorded stream once Run returns — so the buffers can recycle.
-	rec.Release()
 	rows := make([]OutcomeRow, len(campaigns))
 	for i, r := range campaigns {
 		rows[i] = OutcomeRow{Label: labels[i], Strikes: r.Strikes, Counts: r.Counts}

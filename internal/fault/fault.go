@@ -9,6 +9,10 @@
 // with enough strikes, the measured SDC fraction converges to the SDC AVF
 // of the unprotected queue, and the measured (true + false) DUE fractions
 // converge to the DUE AVF decomposition of the parity-protected queue.
+//
+// Strikes sample a recorded trace: run with core.Config.KeepTrace (a
+// pipeline.TraceRecorder beside the run's collector) and build the
+// injector with NewInjector(res.Trace, res.Report.Dead).
 package fault
 
 import (

@@ -5,59 +5,9 @@ import (
 	"fmt"
 
 	"softerror/internal/core"
-	"softerror/internal/isa"
 	"softerror/internal/pipeline"
 	"softerror/internal/rng"
 )
-
-// ConservationSink is a pipeline.Sink that integrates raw occupancy per
-// structure and validates every interval's shape as it closes. Tee it onto
-// any run (core.Config.Sink) and compare its sums against the structures'
-// bit-cycle capacity: Weaver et al.'s AVF is a residency integral, so an
-// interval that escapes these bounds is a wrong number, not a style issue.
-type ConservationSink struct {
-	// IQOcc, FEOcc and SBOcc are Σ(Evict−Enq) per structure, in
-	// entry-cycles.
-	IQOcc, FEOcc, SBOcc uint64
-	// Commits counts OnCommit events.
-	Commits uint64
-	// Err records the first malformed interval observed (nil when all
-	// intervals were well-formed).
-	Err error
-}
-
-func (c *ConservationSink) interval(structure string, r pipeline.Residency) uint64 {
-	if c.Err == nil {
-		switch {
-		case r.Evict < r.Enq:
-			c.Err = fmt.Errorf("%s interval inverted: evict %d < enq %d (seq %d)",
-				structure, r.Evict, r.Enq, r.Inst.Seq)
-		case r.Issued && (r.Issue < r.Enq || r.Issue > r.Evict):
-			c.Err = fmt.Errorf("%s issue cycle %d outside residency [%d, %d] (seq %d)",
-				structure, r.Issue, r.Enq, r.Evict, r.Inst.Seq)
-		}
-	}
-	return r.Occupancy()
-}
-
-// OnResidency implements pipeline.Sink.
-func (c *ConservationSink) OnResidency(r pipeline.Residency) { c.IQOcc += c.interval("iq", r) }
-
-// OnFrontEnd implements pipeline.Sink.
-func (c *ConservationSink) OnFrontEnd(r pipeline.Residency) { c.FEOcc += c.interval("front-end", r) }
-
-// OnStoreBuffer implements pipeline.Sink.
-func (c *ConservationSink) OnStoreBuffer(r pipeline.Residency) {
-	c.SBOcc += c.interval("store-buffer", r)
-}
-
-// OnCommit implements pipeline.Sink.
-func (c *ConservationSink) OnCommit(in isa.Inst, enq, issue uint64) {
-	c.Commits++
-	if c.Err == nil && issue < enq {
-		c.Err = fmt.Errorf("commit of seq %d issued at %d before enqueue at %d", in.Seq, issue, enq)
-	}
-}
 
 // reportConserved checks one structure report's accounting: the bit-cycle
 // classes must partition capacity exactly, and every AVF must be a
@@ -92,60 +42,107 @@ type aceReport struct {
 }
 
 // checkResidencyConservation drives one random workload × machine
-// configuration and asserts, via a teed ConservationSink, that (1) every
-// interval is well-formed, (2) per-structure occupancy integrals fit within
-// cycles × entries, (3) the IQ's non-idle bit-cycles equal the occupancy
-// integral exactly (the classes partition occupancy, nothing more or less),
-// and (4) every derived AVF is a probability.
+// configuration with KeepTrace and holds its recorded trace and reports to
+// traceConserved.
 func checkResidencyConservation(seed uint64, opt Options) error {
 	opt = opt.withDefaults()
 	s := rng.New(seed, 0x1A5E)
 	params := RandomWorkload(s)
 	cfg := RandomPipelineConfig(s)
-	sink := &ConservationSink{}
 	res, err := core.RunContext(context.Background(), core.Config{
 		Workload:    params,
 		Pipeline:    cfg,
 		Commits:     opt.Commits,
+		KeepTrace:   true,
 		FrontEnd:    true,
 		StoreBuffer: true,
-		Sink:        sink,
 	})
 	if err != nil {
 		return fmt.Errorf("run: %w (cfg=%+v)", err, cfg)
 	}
-	if sink.Err != nil {
-		return sink.Err
-	}
-	if sink.Commits != res.Commits {
-		return fmt.Errorf("sink saw %d commits, run reports %d", sink.Commits, res.Commits)
-	}
+	return traceConserved(res, cfg, opt.Commits)
+}
+
+// traceConserved asserts over a run under cfg that (1) every recorded
+// interval is well-formed, (2) per-structure occupancy integrals fit within
+// cycles × entries, (3) every commit is the read of exactly one issued
+// correct-path IQ copy of its Seq, at the cycle CommitCycles records,
+// (4) the IQ's non-idle bit-cycles equal the occupancy integral exactly
+// (the classes partition occupancy, nothing more or less), and (5) every
+// derived AVF is a probability. res must carry its Trace (KeepTrace).
+func traceConserved(res *core.Result, cfg pipeline.Config, commits uint64) error {
+	tr := res.Trace
 	// A degenerate run would pass every bound vacuously.
-	if res.Cycles == 0 || res.Commits < opt.Commits {
+	if res.Cycles == 0 || res.Commits < commits {
 		return fmt.Errorf("run made no progress: %d cycles, %d of %d commits",
-			res.Cycles, res.Commits, opt.Commits)
+			res.Cycles, res.Commits, commits)
 	}
 
-	// Capacity: no structure can integrate more entry-cycles than it has.
+	// Shape and capacity: every interval lies forward in time with its read
+	// inside it, and no structure integrates more entry-cycles than it has.
+	n := cfg.Normalized()
+	occ := make(map[string]uint64)
 	for _, st := range []struct {
 		name    string
-		occ     uint64
+		res     []pipeline.Residency
 		entries int
 	}{
-		{"iq", sink.IQOcc, cfg.IQSize},
-		{"front-end", sink.FEOcc, cfg.FrontEndCap()},
-		{"store-buffer", sink.SBOcc, cfg.StoreBufferSize},
+		{"iq", tr.Residencies, n.IQSize},
+		{"front-end", tr.FrontEnd, n.FrontEndCap()},
+		{"store-buffer", tr.StoreBuffer, n.StoreBufferSize},
+		{"rob", tr.ROB, n.ROBSize},
+		{"lsq", tr.LSQ, n.LSQSize},
 	} {
-		if cap := res.Cycles * uint64(st.entries); st.occ > cap {
+		var sum uint64
+		for i := range st.res {
+			r := &st.res[i]
+			switch {
+			case r.Evict < r.Enq:
+				return fmt.Errorf("%s interval inverted: evict %d < enq %d (seq %d)",
+					st.name, r.Evict, r.Enq, r.Inst.Seq)
+			case r.Issued && (r.Issue < r.Enq || r.Issue > r.Evict):
+				return fmt.Errorf("%s issue cycle %d outside residency [%d, %d] (seq %d)",
+					st.name, r.Issue, r.Enq, r.Evict, r.Inst.Seq)
+			}
+			sum += r.Occupancy()
+		}
+		if cap := res.Cycles * uint64(st.entries); sum > cap {
 			return fmt.Errorf("%s occupancy %d entry-cycles exceeds capacity %d (%d cycles × %d entries)",
-				st.name, st.occ, cap, res.Cycles, st.entries)
+				st.name, sum, cap, res.Cycles, st.entries)
+		}
+		occ[st.name] = sum
+	}
+
+	// Commits: each is the issue of exactly one correct-path IQ copy.
+	if uint64(len(tr.CommitLog)) != res.Commits || len(tr.CommitCycles) != len(tr.CommitLog) {
+		return fmt.Errorf("trace holds %d commits and %d commit cycles, run reports %d",
+			len(tr.CommitLog), len(tr.CommitCycles), res.Commits)
+	}
+	bySeq := make(map[uint64]int, len(tr.CommitLog))
+	for i := range tr.CommitLog {
+		bySeq[tr.CommitLog[i].Seq] = i
+	}
+	matches := make([]int, len(tr.CommitLog))
+	for i := range tr.Residencies {
+		r := &tr.Residencies[i]
+		if !r.Issued || r.Inst.WrongPath {
+			continue
+		}
+		if j, ok := bySeq[r.Inst.Seq]; ok && r.Issue == tr.CommitCycles[j] {
+			matches[j]++
+		}
+	}
+	for i, m := range matches {
+		if m != 1 {
+			return fmt.Errorf("commit of seq %d at cycle %d matches %d issued correct-path IQ residencies, want 1",
+				tr.CommitLog[i].Seq, tr.CommitCycles[i], m)
 		}
 	}
 
 	// The IQ charges every occupied cycle of every interval to exactly one
 	// class, so non-idle bit-cycles must equal the occupancy integral.
 	rep := res.Report
-	if nonIdle, want := rep.TotalBC()-rep.IdleBC, sink.IQOcc*uint64(rep.BitsPer); nonIdle != want {
+	if nonIdle, want := rep.TotalBC()-rep.IdleBC, occ["iq"]*uint64(rep.BitsPer); nonIdle != want {
 		return fmt.Errorf("iq non-idle bit-cycles %d != occupancy integral %d", nonIdle, want)
 	}
 	if err := reportConserved("iq", &aceReport{
@@ -162,7 +159,7 @@ func checkResidencyConservation(seed uint64, opt Options) error {
 	if fe == nil {
 		return fmt.Errorf("front-end analysis missing from result")
 	}
-	if nonIdle, bound := fe.TotalBC()-fe.IdleBC, sink.FEOcc*uint64(fe.BitsPer); nonIdle > bound {
+	if nonIdle, bound := fe.TotalBC()-fe.IdleBC, occ["front-end"]*uint64(fe.BitsPer); nonIdle > bound {
 		return fmt.Errorf("front-end non-idle bit-cycles %d exceed occupancy integral %d", nonIdle, bound)
 	}
 	if err := reportConserved("front-end", &aceReport{

@@ -61,7 +61,7 @@ func All() []Check {
 	return []Check{
 		{
 			Name: "residency-conservation",
-			Doc:  "per-structure occupancy sums fit cycles×entries and the bit-cycle classes partition capacity exactly",
+			Doc:  "in a run's recorded trace every interval is well-formed, per-structure occupancy sums fit cycles×entries, every commit is the issue of exactly one correct-path IQ copy, and the bit-cycle classes partition capacity exactly",
 			Run:  checkResidencyConservation,
 		},
 		{

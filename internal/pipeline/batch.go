@@ -75,7 +75,7 @@ func (r BatchRef) Inst(src BatchSource, seq uint64) isa.Inst {
 // BatchSink receives one lane's events in compact form — the (ref, seq)
 // pair instead of a materialised isa.Inst — so an index-aware collector
 // (ace.BatchCollector) can skip reconstruction entirely. Cycle fields
-// carry exactly what the corresponding Sink callback would: commits report
+// carry exactly what the reference interpreter records: commits report
 // (enq, issue); residencies the full interval; front-end intervals end at
 // `until` with delivered marking decode reads; store-buffer intervals
 // drain (or clip) at evict.
@@ -87,94 +87,75 @@ type BatchSink interface {
 }
 
 // Beside returns a BatchSink that hands every event of a lane over src to
-// next in compact form (next may be nil) and to s with its instruction
-// reconstructed from src (BatchRef.Inst), in the order Sink documents. A
-// plain sink thereby rides beside a compact collector on one lane, and
-// chained calls fan one lane out to several plain sinks. Out-of-order
-// events reach whichever of next and s implement BatchOOOSink and OOOSink.
-func Beside(src BatchSource, next BatchSink, s Sink) BatchSink {
-	a := &sinkAdapter{src: src, s: s, next: next}
-	a.os, _ = s.(OOOSink)
+// next in compact form (next may be nil) and to rec with its instruction
+// reconstructed from src (BatchRef.Inst), so a lane records the trace the
+// reference interpreter would beside its compact collector. Out-of-order
+// events reach rec, and next if it implements BatchOOOSink.
+func Beside(src BatchSource, next BatchSink, rec *TraceRecorder) BatchSink {
+	a := &recAdapter{src: src, rec: rec, next: next}
 	a.nextOOO, _ = next.(BatchOOOSink)
 	return a
 }
 
-// sinkAdapter is Beside's BatchSink. os and nextOOO cache the sinks'
-// out-of-order sides (nil when absent), so out-of-order events forward
-// without a per-event type assertion.
-type sinkAdapter struct {
+// recAdapter is Beside's BatchSink. nextOOO caches next's out-of-order
+// side (nil when absent), so out-of-order events forward without a
+// per-event type assertion.
+type recAdapter struct {
 	src     BatchSource
-	s       Sink
-	os      OOOSink
+	rec     *TraceRecorder
 	next    BatchSink
 	nextOOO BatchOOOSink
 }
 
-func (a *sinkAdapter) BatchCommit(ref BatchRef, seq, enq, issue uint64) {
+func (a *recAdapter) BatchCommit(ref BatchRef, seq, enq, issue uint64) {
 	if a.next != nil {
 		a.next.BatchCommit(ref, seq, enq, issue)
 	}
-	a.s.OnCommit(ref.Inst(a.src, seq), enq, issue)
+	a.rec.onCommit(ref.Inst(a.src, seq), issue)
 }
 
-func (a *sinkAdapter) BatchResidency(ref BatchRef, seq, enq, issue, evict uint64, issued, squashed bool) {
+func (a *recAdapter) BatchResidency(ref BatchRef, seq, enq, issue, evict uint64, issued, squashed bool) {
 	if a.next != nil {
 		a.next.BatchResidency(ref, seq, enq, issue, evict, issued, squashed)
 	}
-	a.s.OnResidency(Residency{
+	a.rec.onResidency(Residency{
 		Inst: ref.Inst(a.src, seq), Enq: enq, Evict: evict,
 		Issued: issued, Issue: issue, Squashed: squashed,
 	})
 }
 
-func (a *sinkAdapter) BatchFrontEnd(ref BatchRef, seq, fetched, until uint64, delivered bool) {
+func (a *recAdapter) BatchFrontEnd(ref BatchRef, seq, fetched, until uint64, delivered bool) {
 	if a.next != nil {
 		a.next.BatchFrontEnd(ref, seq, fetched, until, delivered)
 	}
-	a.s.OnFrontEnd(Residency{
+	a.rec.onFrontEnd(Residency{
 		Inst: ref.Inst(a.src, seq), Enq: fetched, Evict: until,
 		Issued: delivered, Issue: until, Squashed: !delivered,
 	})
 }
 
-func (a *sinkAdapter) BatchStoreBuffer(ref BatchRef, seq, enq, evict uint64) {
+func (a *recAdapter) BatchStoreBuffer(ref BatchRef, seq, enq, evict uint64) {
 	if a.next != nil {
 		a.next.BatchStoreBuffer(ref, seq, enq, evict)
 	}
-	a.s.OnStoreBuffer(Residency{
+	a.rec.onStoreBuffer(Residency{
 		Inst: ref.Inst(a.src, seq), Enq: enq, Evict: evict,
 		Issued: true, Issue: evict,
 	})
 }
 
-func (a *sinkAdapter) BatchROB(ref BatchRef, seq, enq, evict uint64, read bool) {
+func (a *recAdapter) BatchROB(ref BatchRef, seq, enq, evict uint64, read bool) {
 	if a.nextOOO != nil {
 		a.nextOOO.BatchROB(ref, seq, enq, evict, read)
 	}
-	if a.os == nil {
-		return
-	}
-	r := Residency{Inst: ref.Inst(a.src, seq), Enq: enq, Evict: evict, Squashed: !read}
-	if read {
-		r.Issued = true
-		r.Issue = evict
-	}
-	a.os.OnROB(r)
+	a.rec.onROB(oooResidency(ref.Inst(a.src, seq), enq, evict, read))
 }
 
-func (a *sinkAdapter) BatchLSQ(ref BatchRef, seq, enq, evict uint64, read bool) {
+func (a *recAdapter) BatchLSQ(ref BatchRef, seq, enq, evict uint64, read bool) {
 	if a.nextOOO != nil {
 		a.nextOOO.BatchLSQ(ref, seq, enq, evict, read)
 	}
-	if a.os == nil {
-		return
-	}
-	r := Residency{Inst: ref.Inst(a.src, seq), Enq: enq, Evict: evict, Squashed: !read}
-	if read {
-		r.Issued = true
-		r.Issue = evict
-	}
-	a.os.OnLSQ(r)
+	a.rec.onLSQ(oooResidency(ref.Inst(a.src, seq), enq, evict, read))
 }
 
 // Compact queue entries: ~3× smaller than the reference's, which
@@ -335,27 +316,6 @@ type batchLane struct {
 // across lanes.
 const batchChunk = 4096
 
-// RunBatch drives K configuration variants through one decode of the
-// shared instruction stream, delivering each lane's events to the
-// corresponding sink (nil to discard; a sink that implements BatchSink
-// receives compact events directly). mems supplies each lane's private
-// data-cache hierarchy — lanes interleave loads and store drains
-// differently, so the hierarchy cannot be shared. Returns one Stats per
-// lane, byte-identical to K independent reference RunStream runs.
-func RunBatch(ctx context.Context, commits uint64, src BatchSource, cfgs []Config, mems []*cache.Hierarchy, sinks []Sink) ([]Stats, error) {
-	bs := make([]BatchSink, len(cfgs))
-	for i, s := range sinks {
-		switch t := s.(type) {
-		case nil:
-		case BatchSink:
-			bs[i] = t
-		default:
-			bs[i] = Beside(src, nil, s)
-		}
-	}
-	return RunBatchStreamArena(ctx, commits, src, cfgs, mems, bs, nil)
-}
-
 // BatchArena owns the batched engine's reusable allocations: the lane
 // structs and the shared queue slabs. A zero BatchArena is ready to use;
 // passing the same arena to successive runs reuses its storage, so a sweep
@@ -385,9 +345,15 @@ func slab[T any](buf []T, n int) []T {
 	return buf
 }
 
-// RunBatchStreamArena is RunBatch for compact sinks — the
-// zero-reconstruction hot path ace.BatchCollector rides — drawing lane
-// state from a; a nil arena runs with one-shot allocations.
+// RunBatchStreamArena drives K configuration variants through one decode
+// of the shared instruction stream, delivering each lane's events to the
+// corresponding compact sink (nil to discard) — the zero-reconstruction
+// hot path ace.BatchCollector rides; Beside adds a TraceRecorder. mems
+// supplies each lane's private data-cache hierarchy: lanes interleave
+// loads and store drains differently, so the hierarchy cannot be shared.
+// Lane state is drawn from a; a nil arena runs with one-shot allocations.
+// Returns one Stats per lane, byte-identical to K independent reference
+// RunStream runs.
 func RunBatchStreamArena(ctx context.Context, commits uint64, src BatchSource, cfgs []Config, mems []*cache.Hierarchy, sinks []BatchSink, a *BatchArena) ([]Stats, error) {
 	if src == nil {
 		return nil, fmt.Errorf("pipeline: nil batch source")

@@ -144,8 +144,9 @@ func laneTraced(t *testing.T, cfg pipeline.Config, params workload.Params, commi
 		t.Fatal(err)
 	}
 	rec := pipeline.NewTraceRecorder(cfg, commits)
-	stats, err := pipeline.RunBatch(context.Background(), commits, sh,
-		[]pipeline.Config{cfg}, []*cache.Hierarchy{workload.WarmedDefault()}, []pipeline.Sink{rec})
+	stats, err := pipeline.RunBatchStreamArena(context.Background(), commits, sh,
+		[]pipeline.Config{cfg}, []*cache.Hierarchy{workload.WarmedDefault()},
+		[]pipeline.BatchSink{pipeline.Beside(sh, nil, rec)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

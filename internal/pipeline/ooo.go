@@ -7,10 +7,11 @@ import "softerror/internal/isa"
 // (batchooo.go is the lanes' counterpart). The family follows the engine's
 // composable-structure protocol — every vulnerable structure supplies (a)
 // a dispatch/admission hook (oooAdmit/oooDispatch), (b) occupancy
-// intervals through a per-structure sink method with a defined read point
-// (OOOSink.OnROB/OnLSQ), (c) a horizon candidate the lanes' event-horizon
-// skipper folds (batchLane.oooEventCycle), and (d) flush, squash and
-// end-of-run clip rules mirroring the instruction queue's. The in-order
+// intervals through a per-structure recorder method with a defined read
+// point (TraceRecorder.onROB/onLSQ, BatchOOOSink.BatchROB/BatchLSQ), (c) a
+// horizon candidate the lanes' event-horizon skipper folds
+// (batchLane.oooEventCycle), and (d) flush, squash and end-of-run clip
+// rules mirroring the instruction queue's. The in-order
 // family never reaches this code: every hook is gated on p.ooo, so its
 // cycle-level behaviour and event stream are byte-identical to before.
 //
@@ -154,8 +155,8 @@ func (p *Pipeline) executeOOO(e *iqEntry, now uint64) {
 	}
 
 	p.stats.Commits++
-	if p.sink != nil {
-		p.sink.OnCommit(*in, e.enq, now)
+	if p.rec != nil {
+		p.rec.onCommit(*in, now)
 	}
 
 	if in.PredFalse {
@@ -359,28 +360,28 @@ func (p *Pipeline) oooFlushEnd(cycle uint64) {
 // recordROB reports one reorder-buffer residency ending at evict; read
 // marks an in-order retire (the read point is the retire cycle itself).
 func (p *Pipeline) recordROB(e *robEntry, evict uint64, read bool) {
-	if p.oooSink == nil {
-		return
+	if p.rec != nil {
+		p.rec.onROB(oooResidency(e.inst, e.enq, evict, read))
 	}
-	r := Residency{Inst: e.inst, Enq: e.enq, Evict: evict, Squashed: !read}
-	if read {
-		r.Issued = true
-		r.Issue = evict
-	}
-	p.oooSink.OnROB(r)
 }
 
 // recordLSQ reports one load/store-queue residency ending at evict; read
 // marks consumption (retire for loads and predicated-false stores, drain
 // for executed stores).
 func (p *Pipeline) recordLSQ(e *lsqEntry, evict uint64, read bool) {
-	if p.oooSink == nil {
-		return
+	if p.rec != nil {
+		p.rec.onLSQ(oooResidency(e.inst, e.enq, evict, read))
 	}
-	r := Residency{Inst: e.inst, Enq: e.enq, Evict: evict, Squashed: !read}
+}
+
+// oooResidency is an out-of-order structure's interval ending at evict:
+// the read point is the eviction itself, and read=false marks a copy
+// flushed, squashed or clipped without a read.
+func oooResidency(in isa.Inst, enq, evict uint64, read bool) Residency {
+	r := Residency{Inst: in, Enq: enq, Evict: evict, Squashed: !read}
 	if read {
 		r.Issued = true
 		r.Issue = evict
 	}
-	p.oooSink.OnLSQ(r)
+	return r
 }

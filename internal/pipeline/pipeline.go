@@ -96,9 +96,8 @@ type Pipeline struct {
 	lsqAddrs map[uint64]int // live LSQ store addresses, refcounted
 	tage     tageState
 
-	stats   Stats
-	sink    Sink
-	oooSink OOOSink // sink's optional OOOSink side, bound at run start
+	stats Stats
+	rec   *TraceRecorder
 }
 
 // New builds a pipeline over the given instruction source and data-cache
@@ -177,15 +176,12 @@ func (p *Pipeline) RunContext(ctx context.Context, commits uint64, record bool) 
 }
 
 // RunStream simulates until the given number of correct-path instructions
-// have committed, one cycle at a time, delivering every residency and
-// commit to sink as it closes (sink may be nil for warm-up). In-flight
-// entries are flushed to the sink, clipped at the final cycle, so
-// occupancy integrals stay consistent.
-func (p *Pipeline) RunStream(ctx context.Context, commits uint64, sink Sink) (Stats, error) {
-	p.sink = sink
-	if s, ok := sink.(OOOSink); ok {
-		p.oooSink = s
-	}
+// have committed, one cycle at a time, recording every residency and
+// commit into rec as it closes (rec may be nil for warm-up). In-flight
+// entries are flushed to rec, clipped at the final cycle, so occupancy
+// integrals stay consistent.
+func (p *Pipeline) RunStream(ctx context.Context, commits uint64, rec *TraceRecorder) (Stats, error) {
+	p.rec = rec
 	lastCommitCycle := uint64(0)
 	lastCommits := uint64(0)
 	for iter := uint64(0); p.stats.Commits < commits; iter++ {
@@ -204,7 +200,7 @@ func (p *Pipeline) RunStream(ctx context.Context, commits uint64, sink Sink) (St
 	}
 	// Close residencies for entries still in flight, clipped at the final
 	// cycle so occupancy integrals stay consistent.
-	if sink != nil {
+	if rec != nil {
 		for i := range p.iq {
 			p.recordResidency(&p.iq[i], p.cycle, false)
 		}
@@ -213,7 +209,7 @@ func (p *Pipeline) RunStream(ctx context.Context, commits uint64, sink Sink) (St
 		}
 		for i := range p.sb {
 			e := &p.sb[i]
-			sink.OnStoreBuffer(Residency{
+			rec.onStoreBuffer(Residency{
 				Inst: e.inst, Enq: e.enq, Evict: p.cycle,
 				Issued: true, Issue: p.cycle,
 			})
@@ -249,10 +245,10 @@ func (p *Pipeline) step() {
 
 // recordResidency reports a residency for e ending at evict.
 func (p *Pipeline) recordResidency(e *iqEntry, evict uint64, squashed bool) {
-	if p.sink == nil {
+	if p.rec == nil {
 		return
 	}
-	p.sink.OnResidency(Residency{
+	p.rec.onResidency(Residency{
 		Inst:     e.inst,
 		Enq:      e.enq,
 		Evict:    evict,
@@ -506,8 +502,8 @@ func (p *Pipeline) execute(e *iqEntry, now uint64) {
 	}
 
 	p.stats.Commits++
-	if p.sink != nil {
-		p.sink.OnCommit(*in, e.enq, now)
+	if p.rec != nil {
+		p.rec.onCommit(*in, now)
 	}
 
 	if in.PredFalse {
@@ -589,8 +585,8 @@ func (p *Pipeline) drainStores(now uint64) {
 		return
 	}
 	p.mem.Access(e.inst.Addr, true)
-	if p.sink != nil {
-		p.sink.OnStoreBuffer(Residency{
+	if p.rec != nil {
+		p.rec.onStoreBuffer(Residency{
 			Inst:   e.inst,
 			Enq:    e.enq,
 			Evict:  now,
@@ -636,10 +632,10 @@ func (p *Pipeline) deliver(now uint64) {
 // entries are read into decode (the front end's parity-check point);
 // flushed ones never are.
 func (p *Pipeline) recordFrontEnd(fe *feEntry, until uint64, delivered bool) {
-	if p.sink == nil {
+	if p.rec == nil {
 		return
 	}
-	p.sink.OnFrontEnd(Residency{
+	p.rec.onFrontEnd(Residency{
 		Inst:     fe.inst,
 		Enq:      fe.fetched,
 		Evict:    until,

@@ -6,53 +6,9 @@ import (
 	"softerror/internal/isa"
 )
 
-// Sink receives the pipeline's observable events as they happen, instead of
-// having them materialised into Trace slices. The pipeline calls a method
-// exactly when the corresponding Trace record would have been appended, in
-// the same order, with the same contents — so a sink sees precisely the
-// stream a recorded Trace would hold, one interval at a time.
-//
-// The production lanes emit compact BatchSink events, which the ACE/AVF
-// collector folds into counters without the O(commits) slices; Beside lifts
-// a plain Sink onto a lane. TraceRecorder is the Sink that materialises a
-// Trace for callers that want the intervals (fault injection, tracefile,
-// traceview, and the differential checks against the reference).
-type Sink interface {
-	// OnResidency reports one closed instruction-queue occupancy interval
-	// (eviction, squash, wrong-path flush, or end-of-run clip).
-	OnResidency(r Residency)
-	// OnFrontEnd reports one closed fetch-buffer occupancy interval.
-	// Issued marks delivery to decode (the front end's read point);
-	// Squashed marks removal without delivery.
-	OnFrontEnd(r Residency)
-	// OnStoreBuffer reports one closed store-buffer occupancy interval
-	// (drain to cache, or end-of-run clip).
-	OnStoreBuffer(r Residency)
-	// OnCommit reports one committed (issued correct-path) instruction,
-	// with the cycle its IQ copy enqueued and the cycle it issued. The
-	// pre-issue wait issue-enq is the committed copy's read exposure; the
-	// same copy's OnResidency arrives later, when the entry evicts.
-	OnCommit(in isa.Inst, enq, issue uint64)
-}
-
-// OOOSink is the optional extension a Sink implements to receive the
-// out-of-order family's extra structures. The engines type-assert once at
-// run start; a plain Sink on an out-of-order run simply misses these
-// events. Both events reuse Residency with the structure's own read point:
-// a ROB entry is read at its in-order retire, an LSQ entry at its retire
-// (loads, predicated-false stores) or its drain to the cache (executed
-// stores) — so Issue == Evict for every read interval, and Issued=false
-// marks copies flushed, squashed or clipped without a read.
-type OOOSink interface {
-	// OnROB reports one closed reorder-buffer occupancy interval.
-	OnROB(r Residency)
-	// OnLSQ reports one closed load/store-queue occupancy interval.
-	OnLSQ(r Residency)
-}
-
 // Stats holds the scalar counters of one run — everything a Trace records
 // besides its interval slices. RunStream and the batch runners return it so
-// sink consumers get IPC, miss rates and event counts without a Trace.
+// callers get IPC, miss rates and event counts without a Trace.
 type Stats struct {
 	Cycles  uint64
 	Commits uint64
@@ -99,8 +55,12 @@ func (s *Stats) LoadMissRate(level int) float64 {
 	return float64(beyond) / float64(total)
 }
 
-// TraceRecorder is the Sink that materialises the event stream back into a
-// Trace, byte-identical to what the pipeline historically recorded.
+// TraceRecorder materialises one run's event stream into a Trace. It is
+// the only recorder of intervals: the reference interpreter calls it as
+// each interval closes (RunStream), and a production lane feeds it through
+// Beside, in the same order with the same contents — so both engines'
+// traces are comparable byte for byte. Fault injection, tracefile,
+// traceview and the differential and conservation checks read its Trace.
 type TraceRecorder struct {
 	outOfOrder bool
 	tr         Trace
@@ -127,34 +87,44 @@ func NewTraceRecorder(cfg Config, commits uint64) *TraceRecorder {
 	return rec
 }
 
-// OnResidency implements Sink.
-func (rec *TraceRecorder) OnResidency(r Residency) {
+// onResidency records one closed instruction-queue interval (eviction,
+// squash, wrong-path flush, or end-of-run clip).
+func (rec *TraceRecorder) onResidency(r Residency) {
 	rec.tr.Residencies = append(rec.tr.Residencies, r)
 }
 
-// OnFrontEnd implements Sink.
-func (rec *TraceRecorder) OnFrontEnd(r Residency) {
+// onFrontEnd records one closed fetch-buffer interval: Issued marks
+// delivery to decode (the front end's read point), Squashed removal
+// without delivery.
+func (rec *TraceRecorder) onFrontEnd(r Residency) {
 	rec.tr.FrontEnd = append(rec.tr.FrontEnd, r)
 }
 
-// OnStoreBuffer implements Sink.
-func (rec *TraceRecorder) OnStoreBuffer(r Residency) {
+// onStoreBuffer records one closed store-buffer interval (drain to
+// cache, or end-of-run clip).
+func (rec *TraceRecorder) onStoreBuffer(r Residency) {
 	rec.tr.StoreBuffer = append(rec.tr.StoreBuffer, r)
 }
 
-// OnCommit implements Sink.
-func (rec *TraceRecorder) OnCommit(in isa.Inst, _, issue uint64) {
+// onCommit records one committed (issued correct-path) instruction and the
+// cycle it issued.
+func (rec *TraceRecorder) onCommit(in isa.Inst, issue uint64) {
 	rec.tr.CommitLog = append(rec.tr.CommitLog, in)
 	rec.tr.CommitCycles = append(rec.tr.CommitCycles, issue)
 }
 
-// OnROB implements OOOSink.
-func (rec *TraceRecorder) OnROB(r Residency) {
+// onROB records one closed reorder-buffer interval. The out-of-order
+// structures' intervals carry their own read point — a ROB entry is read
+// at its in-order retire, an LSQ entry at its retire (loads,
+// predicated-false stores) or its drain (executed stores) — so Issue ==
+// Evict for every read interval, and Issued=false marks copies flushed,
+// squashed or clipped without a read.
+func (rec *TraceRecorder) onROB(r Residency) {
 	rec.tr.ROB = append(rec.tr.ROB, r)
 }
 
-// OnLSQ implements OOOSink.
-func (rec *TraceRecorder) OnLSQ(r Residency) {
+// onLSQ records one closed load/store-queue interval.
+func (rec *TraceRecorder) onLSQ(r Residency) {
 	rec.tr.LSQ = append(rec.tr.LSQ, r)
 }
 
@@ -192,61 +162,4 @@ func (rec *TraceRecorder) Trace(st Stats) *Trace {
 		tr.CommitLog, tr.CommitCycles = sortedLog, sortedCycles
 	}
 	return tr
-}
-
-// Tee fans the event stream out to several sinks, in argument order. Nil
-// sinks are skipped; the reference path uses it to feed a TraceRecorder and
-// a caller's sink (a fault residency recorder, say) from one run.
-func Tee(sinks ...Sink) Sink {
-	kept := make([]Sink, 0, len(sinks))
-	for _, s := range sinks {
-		if s != nil {
-			kept = append(kept, s)
-		}
-	}
-	return teeSink(kept)
-}
-
-type teeSink []Sink
-
-func (t teeSink) OnResidency(r Residency) {
-	for _, s := range t {
-		s.OnResidency(r)
-	}
-}
-
-func (t teeSink) OnFrontEnd(r Residency) {
-	for _, s := range t {
-		s.OnFrontEnd(r)
-	}
-}
-
-func (t teeSink) OnStoreBuffer(r Residency) {
-	for _, s := range t {
-		s.OnStoreBuffer(r)
-	}
-}
-
-func (t teeSink) OnCommit(in isa.Inst, enq, issue uint64) {
-	for _, s := range t {
-		s.OnCommit(in, enq, issue)
-	}
-}
-
-// OnROB implements OOOSink, forwarding to the members that accept it.
-func (t teeSink) OnROB(r Residency) {
-	for _, s := range t {
-		if os, ok := s.(OOOSink); ok {
-			os.OnROB(r)
-		}
-	}
-}
-
-// OnLSQ implements OOOSink, forwarding to the members that accept it.
-func (t teeSink) OnLSQ(r Residency) {
-	for _, s := range t {
-		if os, ok := s.(OOOSink); ok {
-			os.OnLSQ(r)
-		}
-	}
 }

@@ -4,7 +4,8 @@
 #      change must pass)
 #   2. race tier: the packages that run simulations concurrently, under the
 #      race detector (parallel engine, suite memo, sweep grid, fault
-#      fan-out, and the server's concurrent-load test)
+#      fan-out, the server's concurrent-load test, and the invariant
+#      checks with their negative-half tests)
 #   3. chaos tier: the resilience tests — injected panics, hangs and crashes
 #      driven through the par chaos hook, checkpoint/resume byte-identity,
 #      server overflow shedding and drain/resume — under the race detector,
@@ -43,7 +44,7 @@ fmtdirs="$(gofmt -l cmd internal examples scripts *.go)"
 go build ./...
 go vet ./...
 go test ./...
-go test -race ./internal/par ./internal/core ./internal/sweep ./internal/fault ./internal/server ./internal/static
+go test -race ./internal/par ./internal/core ./internal/sweep ./internal/fault ./internal/server ./internal/static ./internal/invariant
 go test -race -run 'Chaos|CrashResume|Resilien|Watchdog|Retry|Collect|Partial|Checkpoint|Resume|Overflow|Drain|SingleFlight|Identity' \
 	./internal/par ./internal/checkpoint ./internal/fault ./internal/sweep \
 	./internal/server ./cmd/sweep ./cmd/sersim ./cmd/repro
